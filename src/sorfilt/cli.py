@@ -79,17 +79,18 @@ def _cmd_uwb(args) -> int:
     return 0
 
 
+# bench_runtime keywords that a flag or the config file may set; a key set
+# by neither keeps bench_runtime's own default, not ScenarioConfig's
+BENCH_KEYS = ("runs", "steps", "lam", "gamma_law", "filters")
+
+
 def _cmd_bench(args) -> int:
     cfg = _build_config(args, "tracking")
     m_values = tuple(int(p) for p in args.m.split(","))
-    report = bench_runtime(
-        m_values=m_values,
-        runs=args.runs if args.runs is not None else 5,
-        steps=args.steps if args.steps is not None else 100,
-        seed=cfg.seed,
-        filters=cfg.filters if args.filters else ("sor", "msor"),
-        out=cfg.out,
-    )
+    given = set(ScenarioConfig.read_yaml(args.config)) if args.config else set()
+    given |= {key for key in BENCH_KEYS if getattr(args, key, None) is not None}
+    chosen = {key: getattr(cfg, key) for key in BENCH_KEYS if key in given}
+    report = bench_runtime(m_values=m_values, seed=cfg.seed, out=cfg.out, **chosen)
     for name, slope in report.slopes.items():
         means = report.seconds[name].mean(axis=1)
         pretty = ", ".join(

@@ -3,6 +3,8 @@ exact serial scalar-conditioning update for diagonal effective noise."""
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +14,6 @@ from .model import (
     GaussianBelief,
     Measurement,
     NonlinearSSM,
-    ensure_spd,
     symmetrize,
 )
 from .unscented import (
@@ -28,6 +29,12 @@ from .unscented import (
 def wrap_angle(x):
     """Wrap angles to (-pi, pi]."""
     return np.pi - np.mod(np.pi - np.asarray(x, dtype=float), 2.0 * np.pi)
+
+
+def _wrap_scalar(x: float) -> float:
+    """wrap_angle for one Python float, without array overhead.  Python's
+    float % rounds exactly as np.mod does, so the results are identical."""
+    return math.pi - (math.pi - x) % (2.0 * math.pi)
 
 
 def innovation(y: np.ndarray, mu: np.ndarray, angular_mask=None) -> np.ndarray:
@@ -80,7 +87,7 @@ def predict(
     sigma = draw_sigma_points(posterior, params)
     values = eval_sigma_points(sigma, model.process_fn, model.vectorized)
     mean, cov, _ = moments_from_values(sigma, values)
-    return GaussianBelief(mean, ensure_spd(cov + model.process_cov, "predicted cov"))
+    return GaussianBelief._from_filter(mean, cov + model.process_cov, "predicted cov")
 
 
 def predict_measurement(
@@ -97,7 +104,8 @@ def _check_vinv(vinv, m: int) -> np.ndarray:
     vinv = np.atleast_1d(np.asarray(vinv, dtype=float))
     if vinv.shape != (m,):
         raise ValueError(f"Vinv_diag length {vinv.shape} does not match meas dim {m}")
-    if not np.all(np.isfinite(vinv)) or np.any(vinv < 0.0):
+    # NaN fails both comparisons, so one min and one max reject it too
+    if not (vinv.min(initial=0.0) >= 0.0 and vinv.max(initial=0.0) < np.inf):
         raise ValueError("Vinv_diag entries must be finite and >= 0")
     return vinv
 
@@ -131,7 +139,7 @@ def update_parallel(
     resid = innovation(yv, predmeas.mu, angular_mask)
     mean = belief_pred.mean + gain @ resid
     cov = belief_pred.cov - predmeas.C @ gain.T
-    return GaussianBelief(mean, ensure_spd(cov, "updated cov"))
+    return GaussianBelief._from_filter(mean, cov, "updated cov")
 
 
 @dataclass(frozen=True)
@@ -187,11 +195,25 @@ def joint_factor_from_moments(
 
 @dataclass(frozen=True)
 class SerialUpdateResult:
-    """Posterior state belief plus conditioned measurement-predictive moments."""
+    """Posterior state mean and square root plus conditioned
+    measurement-predictive moments.
 
-    posterior: GaussianBelief
+    The posterior belief, whose covariance root @ root.T is checked, is
+    built on first access: a caller that needs only the means and the
+    measurement moments (the serial VB loop between iterations) pays no
+    covariance check.
+    """
+
+    mean: np.ndarray
+    root: np.ndarray
     mu_post: np.ndarray
     udiag_post: np.ndarray
+
+    @functools.cached_property
+    def posterior(self) -> GaussianBelief:
+        return GaussianBelief._from_filter(
+            self.mean, self.root @ self.root.T, "updated cov"
+        )
 
 
 def serial_conditioning(
@@ -210,41 +232,41 @@ def serial_conditioning(
     yv = _measurement_values(y)
     if yv.shape != (m,):
         raise ValueError(f"measurement length {yv.shape} does not match meas dim {m}")
-    mask = (
-        np.zeros(m, dtype=bool)
+    angular = (
+        [False] * m
         if angular_mask is None
-        else np.asarray(angular_mask, dtype=bool)
+        else np.asarray(angular_mask, dtype=bool).tolist()
     )
 
+    # Python floats for scalars and ndarray.dot for products: the same
+    # results as numpy scalars and @, with less overhead per operation
+    ez, mu, yl, vl = factor.Ez, factor.mu.tolist(), yv.tolist(), vinv.tolist()
     t = np.eye(r)
+    tt = t.T  # a view: it follows the in-place updates of t
     g = np.zeros(r)
-    for i in range(m):
-        if vinv[i] == 0.0:
-            continue
-        v = 1.0 / vinv[i]
-        row = factor.Ez[i]
-        phi = t.T @ row
-        s = phi @ phi + v
+    for i in np.flatnonzero(vinv).tolist():
+        v = 1.0 / vl[i]
+        row = ez[i]
+        phi = tt.dot(row)
+        s = float(phi.dot(phi)) + v
         if s <= 0.0:
             raise FilterNumericsError(
                 f"non-positive innovation variance for measurement dimension {i}"
             )
-        resid = yv[i] - (factor.mu[i] + row @ g)
-        if mask[i]:
-            resid = wrap_angle(resid)
-        u = t @ phi
+        resid = yl[i] - (mu[i] + float(row.dot(g)))
+        if angular[i]:
+            resid = _wrap_scalar(resid)
+        u = t.dot(phi)
         g += u * (resid / s)
-        gamma = 1.0 / (1.0 + np.sqrt(v / s))
-        t -= np.outer(u, phi * (gamma / s))
+        gamma = 1.0 / (1.0 + math.sqrt(v / s))
+        t -= u[:, None] * (phi * (gamma / s))
 
-    mean = factor.mean_x + factor.Ex @ g
-    root = factor.Ex @ t
-    cov = ensure_spd(root @ root.T, "updated cov")
-    mu_post = factor.mu + factor.Ez @ g
     ez_post = factor.Ez @ t
-    udiag_post = np.einsum("ij,ij->i", ez_post, ez_post)
     return SerialUpdateResult(
-        posterior=GaussianBelief(mean, cov), mu_post=mu_post, udiag_post=udiag_post
+        mean=factor.mean_x + factor.Ex @ g,
+        root=factor.Ex @ t,
+        mu_post=factor.mu + factor.Ez @ g,
+        udiag_post=np.einsum("ij,ij->i", ez_post, ez_post),
     )
 
 

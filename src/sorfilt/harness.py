@@ -100,7 +100,8 @@ class ScenarioConfig:
             object.__setattr__(self, "gamma_law", tuple(self.gamma_law))
 
     @classmethod
-    def from_yaml(cls, path) -> "ScenarioConfig":
+    def read_yaml(cls, path) -> dict:
+        """The keys and values a YAML config file sets, checked by name only."""
         raw = yaml.safe_load(Path(path).read_text()) or {}
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: config root must be a mapping")
@@ -108,7 +109,11 @@ class ScenarioConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-        return cls(**raw)
+        return raw
+
+    @classmethod
+    def from_yaml(cls, path) -> "ScenarioConfig":
+        return cls(**cls.read_yaml(path))
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":
         updates = {k: v for k, v in kwargs.items() if v is not None}

@@ -15,7 +15,16 @@ JITTER_SCALE = 1e-9
 
 
 class FilterNumericsError(RuntimeError):
-    """A covariance lost positive definiteness beyond what jitter can repair."""
+    """A covariance lost positive definiteness beyond what jitter can repair,
+    or a map produced non-finite output.
+
+    time_index is the measurement time step when a filter run raised it,
+    None otherwise.
+    """
+
+    def __init__(self, message: str, time_index: int | None = None) -> None:
+        super().__init__(message)
+        self.time_index = time_index
 
 
 def symmetrize(mat: Matrix) -> Matrix:
@@ -32,42 +41,34 @@ def _jitter_for(mat: Matrix) -> float:
     return jitter
 
 
-def ensure_spd(mat: Matrix, name: str = "cov") -> Matrix:
-    """Symmetrize and verify positive definiteness.
+def _spd_factor(mat: Matrix, name: str) -> tuple[Matrix, Matrix]:
+    """(symmetrized matrix, its lower Cholesky factor).
 
     On a failed Cholesky the matrix gets one jitter shot of
     1e-9 * trace / n on the diagonal; a second failure is a hard error.
     """
     sym = symmetrize(np.asarray(mat, dtype=float))
     try:
-        np.linalg.cholesky(sym)
-        return sym
+        return sym, np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         pass
     repaired = sym + _jitter_for(sym) * np.eye(sym.shape[0])
     try:
-        np.linalg.cholesky(repaired)
+        return repaired, np.linalg.cholesky(repaired)
     except np.linalg.LinAlgError as exc:
         raise FilterNumericsError(
             f"{name} is not positive definite even after diagonal jitter"
         ) from exc
-    return repaired
+
+
+def ensure_spd(mat: Matrix, name: str = "cov") -> Matrix:
+    """Symmetrize and verify positive definiteness, repairing with one jitter shot."""
+    return _spd_factor(mat, name)[0]
 
 
 def chol_lower(mat: Matrix, name: str = "cov") -> Matrix:
     """Lower Cholesky factor under the same one-shot jitter policy as ensure_spd."""
-    sym = symmetrize(np.asarray(mat, dtype=float))
-    try:
-        return np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        pass
-    repaired = sym + _jitter_for(sym) * np.eye(sym.shape[0])
-    try:
-        return np.linalg.cholesky(repaired)
-    except np.linalg.LinAlgError as exc:
-        raise FilterNumericsError(
-            f"{name} is not positive definite even after diagonal jitter"
-        ) from exc
+    return _spd_factor(mat, name)[1]
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -81,7 +82,9 @@ class GaussianBelief:
     """State mean and covariance (m, P) at one time step.
 
     The covariance must be symmetric to 1e-12 relative tolerance and
-    positive definite; both are checked on construction.
+    positive definite; both are checked on construction.  The lower
+    Cholesky factor that the positive-definiteness check computes is kept
+    as ``root``, so sigma points need no second factorization.
     """
 
     mean: Vector
@@ -95,22 +98,51 @@ class GaussianBelief:
         n = mean.size
         if cov.shape != (n, n):
             raise ValueError(f"cov shape {cov.shape} does not match state dim {n}")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("belief contains non-finite entries")
         skew = np.abs(cov - cov.T).max(initial=0.0)
         if skew > SYMMETRY_RTOL * max(1.0, np.abs(cov).max(initial=0.0)):
             raise ValueError("cov is not symmetric within tolerance")
         sym = symmetrize(cov)
         try:
-            np.linalg.cholesky(sym)
+            root = np.linalg.cholesky(sym)
         except np.linalg.LinAlgError as exc:
             raise ValueError("cov is not positive definite") from exc
+        self._freeze(mean, sym, root)
+
+    @classmethod
+    def _from_filter(cls, mean: Vector, cov: Matrix, name: str) -> "GaussianBelief":
+        """Belief from a mean vector and covariance that the filter built.
+
+        Shapes and symmetry hold by construction, so one Cholesky under the
+        jitter policy of ensure_spd is the only factorization; a covariance
+        beyond repair raises FilterNumericsError naming it.  The finite check
+        stays: Cholesky of a matrix holding inf or NaN can return a
+        non-finite factor instead of raising.
+        """
+        sym, root = _spd_factor(cov, name)
+        if not (np.isfinite(mean).all() and np.isfinite(sym).all()):
+            raise ValueError("belief contains non-finite entries")
+        belief = object.__new__(cls)
+        belief._freeze(mean, sym, root)
+        return belief
+
+    def _freeze(self, mean: Vector, sym: Matrix, root: Matrix) -> None:
+        # sym and root are fresh arrays; mean may alias the caller's
+        sym.flags.writeable = False
+        root.flags.writeable = False
         object.__setattr__(self, "mean", _frozen_array(mean))
-        object.__setattr__(self, "cov", _frozen_array(sym))
+        object.__setattr__(self, "cov", sym)
+        object.__setattr__(self, "_root", root)
 
     @property
     def dim(self) -> int:
         return self.mean.size
+
+    @property
+    def root(self) -> Matrix:
+        """Lower Cholesky factor L of cov, with L @ L.T = cov."""
+        return self._root
 
 
 @dataclass(frozen=True)
@@ -159,7 +191,7 @@ class Measurement:
         values = np.atleast_1d(np.asarray(self.values, dtype=float))
         if values.ndim != 1:
             raise ValueError("values must be a vector")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("measurement values must be finite")
         object.__setattr__(self, "time_index", int(self.time_index))
         object.__setattr__(self, "values", _frozen_array(values))

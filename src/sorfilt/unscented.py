@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .model import FilterNumericsError, GaussianBelief, chol_lower, symmetrize
+from .model import FilterNumericsError, GaussianBelief, symmetrize
 
 
 @dataclass(frozen=True)
@@ -64,11 +65,16 @@ class SigmaPointSet:
 
 
 def draw_sigma_points(belief: GaussianBelief, params: UTParams) -> SigmaPointSet:
-    """Standard scaled construction: mean +/- columns of chol((n+lambda) P)."""
+    """Standard scaled construction: mean +/- columns of chol((n+lambda) P).
+
+    That factor is sqrt(n+lambda) times the belief's own Cholesky root, so no
+    factorization happens here (as in the square-root UKF of van der Merwe
+    and Wan, 2001).
+    """
     n = belief.dim
     lam = params.scaling(n)
     scale = n + lam
-    root = chol_lower(scale * belief.cov, name="sigma-point cov")
+    root = math.sqrt(scale) * belief.root
     points = np.empty((2 * n + 1, n))
     points[0] = belief.mean
     points[1 : n + 1] = belief.mean + root.T

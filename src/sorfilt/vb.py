@@ -107,13 +107,14 @@ def omega_update(W_ii, R_ii, theta, epsilon):
     r = np.asarray(R_ii, dtype=float)
     th = np.asarray(theta, dtype=float)
     eps = np.asarray(epsilon, dtype=float)
-    if np.any(eps <= 0.0) or np.any(eps >= 1.0):
+    # each check is a min/max reduction; a NaN fails every comparison
+    if not (eps.min(initial=0.5) > 0.0 and eps.max(initial=0.5) < 1.0):
         raise ValueError("epsilon must lie strictly inside (0, 1)")
-    if np.any(~np.isfinite(w)) or np.any(w < 0.0):
+    if not (w.min(initial=0.0) >= 0.0 and w.max(initial=0.0) < np.inf):
         raise ValueError("W_ii must be finite and >= 0")
-    if np.any(r <= 0.0):
+    if not r.min(initial=1.0) > 0.0:
         raise ValueError("R_ii must be > 0")
-    if np.any(th <= 0.0) or np.any(th >= 1.0):
+    if not (th.min(initial=0.5) > 0.0 and th.max(initial=0.5) < 1.0):
         raise ValueError("theta must lie strictly inside (0, 1)")
     log_odds_outlier = (
         0.5 * np.log(eps)
@@ -163,6 +164,17 @@ def sor_step(
     Stops once the relative mean change delta falls to tau or max_iters is
     hit (reported via converged, not an error).
 
+    The backends differ in how W is formed, not only in how the update is
+    ordered.  "parallel" (sor) runs a fresh unscented transform of h about
+    each posterior; "serial" (msor) reads the conditioned joint moments of
+    the one sigma-point factor built per step.  That difference, not
+    rounding, is why their RMSE differs.
+
+    Inputs are validated by the public functions called here; what the loop
+    builds itself is not re-validated.  A serial update's covariance is
+    checked once, on the final iteration's result, and a failure there names
+    that VB iteration like a failed update does.
+
     force_indicators short-circuits the loop with a fixed expected-indicator
     vector; all ones reproduces the plain Gaussian-filter update through the
     identical code path.
@@ -180,48 +192,61 @@ def sor_step(
     else:
         predmeas = predict_measurement(model, prediction, params)
 
+    def failed_at(iteration, exc):
+        return FilterNumericsError(
+            f"measurement update failed at VB iteration {iteration}: {exc}"
+        )
+
     def run_update(vinv, iteration):
+        """(update, mu_post, udiag_post): a SerialUpdateResult with its
+        conditioned measurement moments, or a GaussianBelief and Nones."""
         try:
             if serial:
                 res = serial_conditioning(factor, yv, vinv, mask)
-                return res.posterior, res.mu_post, res.udiag_post
+                return res, res.mu_post, res.udiag_post
             belief = update_parallel(prediction, predmeas, yv, vinv, mask)
             return belief, None, None
         except FilterNumericsError as exc:
-            raise FilterNumericsError(
-                f"measurement update failed at VB iteration {iteration}: {exc}"
-            ) from exc
+            raise failed_at(iteration, exc) from exc
+
+    def posterior_of(update, iteration) -> GaussianBelief:
+        if not serial:
+            return update
+        try:
+            return update.posterior
+        except FilterNumericsError as exc:
+            raise failed_at(iteration, exc) from exc
 
     if force_indicators is not None:
         forced = np.atleast_1d(np.asarray(force_indicators, dtype=float))
-        posterior, _, _ = run_update(forced / r_diag, 0)
+        update, _, _ = run_update(forced / r_diag, 0)
         return SorStepResult(
-            posterior=posterior,
+            posterior=posterior_of(update, 0),
             indicators=IndicatorBelief(np.clip(forced, 0.0, 1.0)),
             iterations=0,
             converged=True,
         )
 
     thetas = cfg.thetas(m)
-    posterior, mu_pp, udiag_pp = run_update(1.0 / r_diag, 0)
+    update, mu_pp, udiag_pp = run_update(1.0 / r_diag, 0)
 
     omega = np.ones(m)
     iterations = 0
     converged = False
     for l in range(1, cfg.max_iters + 1):
         if mu_pp is None:
-            mu_pp, udiag_pp = posterior_predictive_meas(model, posterior, params)
+            mu_pp, udiag_pp = posterior_predictive_meas(model, update, params)
         resid = innovation(yv, mu_pp, mask)
         w = resid**2 + udiag_pp
         omega = omega_update(w, r_diag, thetas, cfg.epsilon)
         vinv = (omega + (1.0 - omega) * cfg.epsilon) / r_diag
 
-        prev_mean = posterior.mean
-        posterior, mu_pp, udiag_pp = run_update(vinv, l)
+        prev_mean = update.mean
+        update, mu_pp, udiag_pp = run_update(vinv, l)
         iterations = l
 
         denom = float(np.linalg.norm(prev_mean))
-        delta = float(np.linalg.norm(posterior.mean - prev_mean))
+        delta = float(np.linalg.norm(update.mean - prev_mean))
         if denom >= DELTA_DENOM_FLOOR:
             delta /= denom
         if delta <= cfg.tau:
@@ -229,7 +254,7 @@ def sor_step(
             break
 
     return SorStepResult(
-        posterior=posterior,
+        posterior=posterior_of(update, iterations),
         indicators=IndicatorBelief(omega),
         iterations=iterations,
         converged=converged,
@@ -253,6 +278,13 @@ def ukf_step(
     return update_parallel(prediction, predmeas, y, vinv, mask)
 
 
+def _at_time_step(exc: FilterNumericsError, meas, position: int) -> FilterNumericsError:
+    """The error re-raised with the time step it happened at: the
+    measurement's time_index, or its 1-based position for a bare vector."""
+    k = meas.time_index if isinstance(meas, Measurement) else position
+    return FilterNumericsError(f"time step {k}: {exc}", time_index=k)
+
+
 def _check_ordering(measurements: Sequence[Measurement]) -> None:
     last = 0
     for meas in measurements:
@@ -271,18 +303,25 @@ def sor_filter_run(
     variant: Variant = "parallel",
     force_indicators=None,
 ) -> list[SorStepResult]:
-    """Alternate predict and sor_step over an ordered measurement sequence."""
+    """Alternate predict and sor_step over an ordered measurement sequence.
+
+    A FilterNumericsError is re-raised naming the time step (message and
+    time_index attribute).
+    """
     measurements = list(measurements)
     _check_ordering(measurements)
     belief = init
     results: list[SorStepResult] = []
-    for meas in measurements:
-        prediction = predict(model, belief, params)
-        step = sor_step(
-            model, prediction, meas, cfg, params, variant, force_indicators
-        )
-        belief = step.posterior
-        results.append(step)
+    try:
+        for meas in measurements:
+            prediction = predict(model, belief, params)
+            step = sor_step(
+                model, prediction, meas, cfg, params, variant, force_indicators
+            )
+            belief = step.posterior
+            results.append(step)
+    except FilterNumericsError as exc:
+        raise _at_time_step(exc, meas, len(results) + 1) from exc
     return results
 
 
@@ -293,13 +332,20 @@ def ukf_filter_run(
     params: UTParams,
     variant: Variant = "parallel",
 ) -> list[GaussianBelief]:
-    """Plain Gaussian-filter trajectory used as the non-robust baseline."""
+    """Plain Gaussian-filter trajectory used as the non-robust baseline.
+
+    A FilterNumericsError is re-raised naming the time step, as in
+    sor_filter_run.
+    """
     measurements = list(measurements)
     _check_ordering(measurements)
     belief = init
     results: list[GaussianBelief] = []
-    for meas in measurements:
-        prediction = predict(model, belief, params)
-        belief = ukf_step(model, prediction, meas, params, variant)
-        results.append(belief)
+    try:
+        for meas in measurements:
+            prediction = predict(model, belief, params)
+            belief = ukf_step(model, prediction, meas, params, variant)
+            results.append(belief)
+    except FilterNumericsError as exc:
+        raise _at_time_step(exc, meas, len(results) + 1) from exc
     return results

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import sorfilt.model
 from sorfilt import (
+    FilterNumericsError,
     GaussianBelief,
     NonlinearSSM,
     PredictedMeasurement,
+    SerialUpdateResult,
     UTParams,
     innovation,
     joint_factor_from_moments,
@@ -15,10 +18,12 @@ from sorfilt import (
     posterior_predictive_meas,
     predict,
     predict_measurement,
+    serial_conditioning,
     update_parallel,
     update_serial,
     wrap_angle,
 )
+from sorfilt.gaussian import _wrap_scalar
 from sorfilt.unscented import draw_sigma_points, eval_sigma_points
 
 
@@ -74,6 +79,15 @@ class TestWrapAngle:
         assert np.allclose(wrap_angle(xs), xs, atol=1e-12)
 
 
+    @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+    def test_scalar_form_is_identical(self, x):
+        assert _wrap_scalar(x) == float(wrap_angle(x))
+
+    def test_scalar_form_is_identical_at_the_cut(self):
+        for x in (np.pi, -np.pi, 0.0, 2.0 * np.pi, -3.0 * np.pi, np.nextafter(np.pi, 4.0)):
+            assert _wrap_scalar(x) == float(wrap_angle(x))
+
+
 class TestInnovation:
     def test_plain_difference_without_mask(self):
         assert np.allclose(innovation(np.array([5.0]), np.array([1.0])), [4.0])
@@ -125,6 +139,15 @@ class TestPredict:
         out = predict(model, belief, UTParams())
         assert np.allclose(out.mean, a @ belief.mean, atol=1e-9)
         assert np.allclose(out.cov, a @ belief.cov @ a.T + q, rtol=1e-9, atol=1e-9)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_predicted_cov_raises_value_error(self, bad):
+        q = np.eye(2)
+        q[1, 1] = bad
+        model = _linear_model(np.eye(2), q, np.eye(2), np.ones(2))
+        with pytest.raises(ValueError, match="non-finite"):
+            predict(model, GaussianBelief([0.0, 0.0], np.eye(2)), UTParams())
 
 
 class TestPredictMeasurement:
@@ -215,6 +238,13 @@ class TestUpdateParallel:
         predmeas = PredictedMeasurement(mu=[0.0], U=[[1.0]], C=[[1.0]])
         with pytest.raises(ValueError):
             update_parallel(belief, predmeas, [0.0], [-1.0])
+
+
+    def test_non_finite_update_raises_value_error(self):
+        belief = GaussianBelief([0.0, 0.0], np.eye(2))
+        predmeas = PredictedMeasurement(mu=[0.0], U=[[1.0]], C=[[np.nan], [0.5]])
+        with pytest.raises(ValueError, match="non-finite"):
+            update_parallel(belief, predmeas, [1.0], [1.0])
 
 
 class TestJointFactor:
@@ -337,3 +367,86 @@ class TestPosteriorPredictive:
         mu, var = posterior_predictive_meas(model, belief, UTParams())
         assert np.allclose(mu, h @ belief.mean, atol=1e-9)
         assert np.allclose(var, np.diag(h @ belief.cov @ h.T), rtol=1e-9, atol=1e-9)
+
+
+def _sequential_dense_conditioning(mean, joint, n, y, vinv, angular):
+    """Condition the dense (x, z) Gaussian on one scalar y_i = z_i + v_i at a
+    time, wrapping each angular residual against the current mean of z_i."""
+    mean, joint = mean.copy(), joint.copy()
+    for i in np.flatnonzero(vinv):
+        col = joint[:, n + i].copy()
+        s = col[n + i] + 1.0 / vinv[i]
+        resid = y[i] - mean[n + i]
+        if angular[i]:
+            resid = float(wrap_angle(resid))
+        mean = mean + col * (resid / s)
+        joint = joint - np.outer(col, col) / s
+    return mean, joint
+
+
+class TestSerialAngleWrapCrossing:
+    """Conditioning on an earlier dimension moves a bearing residual across
+    +-pi; the serial sweep wraps it against the partly conditioned mean."""
+
+    def _instance(self):
+        # state x, a range-like z0 and a bearing z1, both tightly tied to x
+        joint = np.array([[1.0, 1.0, 1.0], [1.0, 1.01, 1.0], [1.0, 1.0, 1.01]])
+        belief = GaussianBelief([0.0], joint[:1, :1])
+        predmeas = PredictedMeasurement(mu=[0.0, 0.0], U=joint[1:, 1:], C=joint[:1, 1:])
+        # the bearing residual starts at 3.0 rad; conditioning on z0 = -0.5
+        # moves the predicted bearing by about -0.49, so the residual
+        # becomes about 3.49 > pi, which wraps to about -2.79
+        y = np.array([-0.5, 3.0])
+        vinv = np.array([100.0, 100.0])
+        angular = np.array([False, True])
+        return joint, belief, predmeas, y, vinv, angular
+
+    def test_serial_equals_sequential_dense_conditioning(self):
+        joint, belief, predmeas, y, vinv, angular = self._instance()
+        factor = joint_factor_from_moments(belief, predmeas)
+        res = serial_conditioning(factor, y, vinv, angular)
+        mean, cond = _sequential_dense_conditioning(
+            np.zeros(3), joint, 1, y, vinv, angular
+        )
+        assert np.allclose(res.mean, mean[:1], rtol=1e-9, atol=1e-9)
+        assert np.allclose(res.posterior.cov, cond[:1, :1], rtol=1e-9, atol=1e-12)
+        assert np.allclose(res.mu_post, mean[1:], rtol=1e-9, atol=1e-9)
+        assert np.allclose(res.udiag_post, np.diag(cond)[1:], rtol=1e-7, atol=1e-12)
+
+    def test_case_crosses_the_cut(self):
+        # wrapping once against the prior mean gives a different answer, so
+        # the case above really exercises the crossing
+        joint, belief, predmeas, y, vinv, angular = self._instance()
+        factor = joint_factor_from_moments(belief, predmeas)
+        res = serial_conditioning(factor, y, vinv, angular)
+        y_unwrapped = y.copy()
+        y_unwrapped[1] = predmeas.mu[1] + wrap_angle(y[1] - predmeas.mu[1])
+        once, _ = _sequential_dense_conditioning(
+            np.zeros(3), joint, 1, y_unwrapped, vinv, np.zeros(2, bool)
+        )
+        assert abs(once[0] - res.mean[0]) > 1.0
+
+
+class TestSerialUpdateResult:
+    def test_posterior_is_built_once_on_first_access(self):
+        rng = np.random.default_rng(15)
+        belief, predmeas = _random_joint_instance(rng, 3, 4)
+        ser = update_serial(belief, predmeas, rng.standard_normal(4), np.ones(4))
+        assert "posterior" not in vars(ser)
+        first = ser.posterior
+        assert ser.posterior is first
+        assert np.array_equal(first.mean, ser.mean)
+        assert np.array_equal(first.cov, sorfilt.model.symmetrize(ser.root @ ser.root.T))
+
+    def test_non_positive_definite_root_raises_numerics_error(self, monkeypatch):
+        # root @ root.T is singular here; with the jitter repair disabled it
+        # is not positive definite
+        monkeypatch.setattr(sorfilt.model, "_jitter_for", lambda mat: 0.0)
+        res = SerialUpdateResult(
+            mean=np.zeros(2),
+            root=np.array([[1.0, 0.0], [1.0, 0.0]]),
+            mu_post=np.zeros(1),
+            udiag_post=np.zeros(1),
+        )
+        with pytest.raises(FilterNumericsError, match="updated cov"):
+            res.posterior

@@ -1,11 +1,13 @@
 """Experiment harness: configs, RMSE math, sweeps, benchmarks, CLI."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 import yaml
 
+import sorfilt.cli
 import sorfilt.harness as harness
 from sorfilt import (
     AnchorSet,
@@ -450,3 +452,71 @@ class TestCli:
         assert code == 0
         assert "slope=" in capsys.readouterr().out
         assert (tmp_path / "bench.json").exists()
+
+
+class TestBenchConfig:
+    """bench reads lam, gamma_law, steps, runs and filters from --config;
+    flags override the file, and keys set nowhere keep bench's defaults."""
+
+    @pytest.fixture
+    def received(self, monkeypatch):
+        calls = []
+        signature = inspect.signature(bench_runtime)
+
+        def fake(**kwargs):
+            # record the arguments the real function would run with
+            bound = signature.bind(**kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments)
+            return harness.BenchReport(m_values=(4,), seconds={}, slopes={})
+
+        monkeypatch.setattr(sorfilt.cli, "bench_runtime", fake)
+        return calls
+
+    def _run(self, tmp_path, config, *flags):
+        argv = ["bench", "--m", "4", "--out", str(tmp_path / "out"), *flags]
+        if config is not None:
+            path = tmp_path / "bench.yaml"
+            path.write_text(yaml.safe_dump(config))
+            argv += ["--config", str(path)]
+        assert main(argv) == 0
+
+    def test_absent_keys_keep_bench_defaults(self, tmp_path, received):
+        self._run(tmp_path, {"seed": 4})
+        (kwargs,) = received
+        assert kwargs["lam"] == 0.9
+        assert kwargs["gamma_law"] == (100.0, 1000.0)
+        assert kwargs["steps"] == 100
+        assert kwargs["runs"] == 5
+        assert kwargs["filters"] == ("sor", "msor")
+        assert kwargs["seed"] == 4
+
+    def test_no_config_keeps_bench_defaults(self, tmp_path, received):
+        self._run(tmp_path, None)
+        (kwargs,) = received
+        assert (kwargs["lam"], kwargs["steps"], kwargs["runs"]) == (0.9, 100, 5)
+
+    def test_config_keys_are_honoured(self, tmp_path, received):
+        config = {
+            "lam": 0.2,
+            "gamma_law": 50.0,
+            "steps": 7,
+            "runs": 3,
+            "filters": ["msor"],
+        }
+        self._run(tmp_path, config)
+        (kwargs,) = received
+        assert kwargs["lam"] == 0.2
+        assert kwargs["gamma_law"] == 50.0
+        assert kwargs["steps"] == 7
+        assert kwargs["runs"] == 3
+        assert kwargs["filters"] == ("msor",)
+
+    def test_flags_override_config(self, tmp_path, received):
+        config = {"lam": 0.2, "steps": 7, "runs": 3, "filters": ["msor"]}
+        self._run(
+            tmp_path, config, "--steps", "11", "--runs", "2", "--filters", "sor"
+        )
+        (kwargs,) = received
+        assert (kwargs["steps"], kwargs["runs"], kwargs["filters"]) == (11, 2, ("sor",))
+        assert kwargs["lam"] == 0.2

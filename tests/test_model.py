@@ -196,3 +196,53 @@ class TestValidateModel:
         first = validate_model(model)
         second = validate_model(model)
         assert first == second
+
+    def test_root_is_the_cholesky_factor_of_cov(self):
+        rng = np.random.default_rng(6)
+        cov = _random_spd(rng, 4, 0.1)
+        belief = GaussianBelief(rng.standard_normal(4), cov)
+        assert np.array_equal(belief.root, np.linalg.cholesky(belief.cov))
+        with pytest.raises(ValueError):
+            belief.root[0, 0] = 5.0
+
+
+class TestFilterBuiltBelief:
+    """The private constructor for covariances the filter built itself."""
+
+    def test_matches_public_constructor(self):
+        rng = np.random.default_rng(7)
+        mean, cov = rng.standard_normal(3), _random_spd(rng, 3, 0.1)
+        public = GaussianBelief(mean, cov)
+        built = GaussianBelief._from_filter(mean, cov, "cov")
+        assert np.array_equal(built.mean, public.mean)
+        assert np.array_equal(built.cov, public.cov)
+        assert np.array_equal(built.root, public.root)
+        assert not (built.mean.flags.writeable or built.cov.flags.writeable)
+
+    def test_jitter_repairs_like_ensure_spd(self):
+        vals = np.array([1.0, 1e-16, -1e-14])
+        vecs = np.linalg.qr(np.random.default_rng(2).standard_normal((3, 3)))[0]
+        mat = vecs @ np.diag(vals) @ vecs.T
+        built = GaussianBelief._from_filter(np.zeros(3), mat, "cov")
+        assert np.array_equal(built.cov, ensure_spd(mat))
+        assert np.array_equal(built.root, chol_lower(mat))
+
+    def test_indefinite_raises_numerics_error_naming_the_matrix(self):
+        with pytest.raises(FilterNumericsError, match="updated cov"):
+            GaussianBelief._from_filter(np.zeros(2), np.diag([1.0, -1.0]), "updated cov")
+
+    @pytest.mark.parametrize(
+        "mean, cov",
+        [
+            ([np.nan, 0.0], np.eye(2)),
+            ([np.inf, 0.0], np.eye(2)),
+            ([0.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]]),
+            ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]]),
+            ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]]),
+        ],
+    )
+    def test_non_finite_raises_value_error(self, mean, cov):
+        # Cholesky of a matrix holding inf or NaN may return a non-finite
+        # factor without raising, so the finite check must stay
+        with pytest.raises(ValueError, match="non-finite"):
+            GaussianBelief._from_filter(np.asarray(mean), np.asarray(cov), "cov")

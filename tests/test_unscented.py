@@ -87,6 +87,24 @@ class TestDrawSigmaPoints:
             assert np.allclose(rebuilt, cov, rtol=1e-10, atol=1e-10)
 
 
+    def test_root_matches_cholesky_of_scaled_cov(self):
+        # the offsets come from the belief's kept root times sqrt(n + lambda);
+        # they must match the textbook chol((n + lambda) P) construction
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            n = int(rng.integers(1, 8))
+            params = UTParams(
+                alpha=float(rng.uniform(0.1, 1.0)), kappa=float(rng.uniform(0.0, 3.0))
+            )
+            belief = GaussianBelief(rng.standard_normal(n), _random_spd(rng, n, 0.1))
+            sigma = draw_sigma_points(belief, params)
+            scale = n + params.scaling(n)
+            root = np.linalg.cholesky(scale * belief.cov)
+            expected = np.vstack([belief.mean, belief.mean + root.T, belief.mean - root.T])
+            tol = 1e-12 * np.abs(expected).max()
+            assert np.abs(sigma.points - expected).max() <= tol
+
+
 class TestUnscentedMoments:
     def test_identity_map(self):
         belief = GaussianBelief([1.0, 2.0], np.eye(2))

@@ -1,9 +1,14 @@
 """Indicator posterior updates and the alternating VB measurement step."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import sorfilt.model
+import sorfilt.vb
 from sorfilt import (
+    FilterNumericsError,
     GaussianBelief,
     IndicatorBelief,
     IndicatorConfig,
@@ -309,6 +314,55 @@ class TestSorStep:
             sor_step(model, prediction, [0.0], IndicatorConfig(), UTParams(), "bogus")
 
 
+    @pytest.mark.parametrize("variant", ["parallel", "serial"])
+    def test_returned_omega_is_the_public_omega_update_bit_for_bit(
+        self, variant, monkeypatch
+    ):
+        seen = []
+        public = omega_update
+
+        def recording(w, r, theta, eps):
+            seen.append((np.array(w), r, theta, eps))
+            return public(w, r, theta, eps)
+
+        monkeypatch.setattr(sorfilt.vb, "omega_update", recording)
+        rng = np.random.default_rng(21)
+        h = rng.standard_normal((4, 2))
+        model = _linear_model(h, np.full(4, 0.5))
+        prediction = GaussianBelief(rng.standard_normal(2), _random_spd(rng, 2))
+        y = h @ prediction.mean + rng.standard_normal(4)
+        y[1] += 40.0
+        result = sor_step(model, prediction, y, IndicatorConfig(), UTParams(), variant)
+        assert len(seen) == result.iterations
+        w, r, theta, eps = seen[-1]
+        assert np.array_equal(result.indicators.omega, public(w, r, theta, eps))
+
+    def test_serial_covariance_failure_names_the_final_vb_iteration(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        h = rng.standard_normal((3, 2))
+        model = _linear_model(h, np.full(3, 0.5))
+        prediction = GaussianBelief(rng.standard_normal(2), _random_spd(rng, 2))
+        y = h @ prediction.mean + rng.standard_normal(3)
+        y[0] += 30.0
+        clean = sor_step(model, prediction, y, IndicatorConfig(), UTParams(), "serial")
+        assert clean.iterations > 1
+
+        # every update now carries a singular root; with jitter disabled only
+        # the covariance check can fail, and only the final result is checked
+        real = sorfilt.vb.serial_conditioning
+
+        def singular_root(*args, **kwargs):
+            res = real(*args, **kwargs)
+            return dataclasses.replace(res, root=np.zeros_like(res.root))
+
+        monkeypatch.setattr(sorfilt.vb, "serial_conditioning", singular_root)
+        monkeypatch.setattr(sorfilt.model, "_jitter_for", lambda mat: 0.0)
+        with pytest.raises(FilterNumericsError) as info:
+            sor_step(model, prediction, y, IndicatorConfig(), UTParams(), "serial")
+        assert f"VB iteration {clean.iterations}:" in str(info.value)
+        assert "updated cov" in str(info.value)
+
+
 class TestUkfStep:
     def test_matches_kalman_on_linear_model(self):
         rng = np.random.default_rng(6)
@@ -369,3 +423,46 @@ class TestFilterRuns:
         for b, r in zip(plain, forced):
             assert np.array_equal(b.mean, r.posterior.mean)
             assert np.array_equal(b.cov, r.posterior.cov)
+
+    @pytest.mark.parametrize("runner", ["sor", "msor", "ukf"])
+    def test_numerics_error_names_its_time_step(self, runner):
+        # the state walks one unit per step; h turns non-finite once the
+        # state passes 3.5, so step 4 is the first whose sigma points hit it
+        def meas_fn(x):
+            return np.where(x[..., :1] < 3.5, x[..., :1], np.inf)
+
+        model = NonlinearSSM(
+            state_dim=1,
+            meas_dim=1,
+            process_fn=lambda x: x + 1.0,
+            meas_fn=meas_fn,
+            process_cov=np.array([[1e-6]]),
+            meas_var_diag=np.array([1e-2]),
+            vectorized=True,
+        )
+        init = GaussianBelief([0.0], [[1e-6]])
+        ys = [Measurement(k, [float(k)]) for k in range(1, 7)]
+        with pytest.raises(FilterNumericsError, match="time step 4:") as info:
+            if runner == "ukf":
+                ukf_filter_run(model, init, ys, UTParams())
+            else:
+                variant = "serial" if runner == "msor" else "parallel"
+                sor_filter_run(model, init, ys, IndicatorConfig(), UTParams(), variant)
+        assert info.value.time_index == 4
+        assert "non-finite" in str(info.value)
+
+    def test_time_step_of_bare_vectors_is_their_position(self):
+        model = NonlinearSSM(
+            state_dim=1,
+            meas_dim=1,
+            process_fn=lambda x: x,
+            meas_fn=lambda x: x if x[0] < 10.0 else np.array([np.nan]),
+            process_cov=np.array([[1e-6]]),
+            meas_var_diag=np.array([1e-8]),
+        )
+        init = GaussianBelief([0.0], [[1.0]])
+        # the second vector pulls the state to about 20, so the third step fails
+        ys = [np.array([0.0]), np.array([20.0]), np.array([0.0])]
+        with pytest.raises(FilterNumericsError, match="time step 3:") as info:
+            ukf_filter_run(model, init, ys, UTParams())
+        assert info.value.time_index == 3
