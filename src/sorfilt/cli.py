@@ -82,12 +82,23 @@ def _cmd_uwb(args) -> int:
 # bench_runtime keywords that a flag or the config file may set; a key set
 # by neither keeps bench_runtime's own default, not ScenarioConfig's
 BENCH_KEYS = ("runs", "steps", "lam", "gamma_law", "filters")
+# every config key bench reads; a file setting any other key is refused, since
+# bench_runtime always runs its own outlier world and would ignore it
+BENCH_CONFIG_KEYS = BENCH_KEYS + ("seed", "out")
 
 
 def _cmd_bench(args) -> int:
+    given = set(ScenarioConfig.read_yaml(args.config)) if args.config else set()
+    ignored = sorted(given - set(BENCH_CONFIG_KEYS))
+    if ignored:
+        print(
+            f"config error: bench does not use the keys {ignored}; "
+            f"it reads only {sorted(BENCH_CONFIG_KEYS)}",
+            file=sys.stderr,
+        )
+        return 2
     cfg = _build_config(args, "tracking")
     m_values = tuple(int(p) for p in args.m.split(","))
-    given = set(ScenarioConfig.read_yaml(args.config)) if args.config else set()
     given |= {key for key in BENCH_KEYS if getattr(args, key, None) is not None}
     chosen = {key: getattr(cfg, key) for key in BENCH_KEYS if key in given}
     report = bench_runtime(m_values=m_values, seed=cfg.seed, out=cfg.out, **chosen)

@@ -54,7 +54,10 @@ def _measurement_values(y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PredictedMeasurement:
-    """Predicted measurement moments mu (m,), U (m, m), C (n, m)."""
+    """Predicted measurement moments mu (m,), U (m, m), C (n, m).
+
+    The constructor checks shapes, finiteness and the symmetry of U.
+    """
 
     mu: np.ndarray
     U: np.ndarray
@@ -69,6 +72,8 @@ class PredictedMeasurement:
             raise ValueError(f"U shape {U.shape} does not match meas dim {m}")
         if C.shape[1] != m:
             raise ValueError(f"C shape {C.shape} does not match meas dim {m}")
+        if not (np.isfinite(mu).all() and np.isfinite(U).all() and np.isfinite(C).all()):
+            raise ValueError("predicted measurement contains non-finite entries")
         if np.abs(U - U.T).max(initial=0.0) > 1e-9 * max(1.0, np.abs(U).max(initial=0.0)):
             raise ValueError("U must be symmetric")
         object.__setattr__(self, "mu", mu)

@@ -26,6 +26,8 @@ class UTParams:
             raise ValueError("beta must be >= 0")
         if self.kappa < 0.0:
             raise ValueError("kappa must be >= 0")
+        # n -> UTWeights; not a field, so equality, hashing and repr ignore it
+        object.__setattr__(self, "_weights", {})
 
     def scaling(self, n: int) -> float:
         """Return lambda = alpha^2 (n + kappa) - n, requiring n + lambda > 0."""
@@ -33,6 +35,33 @@ class UTParams:
         if n + lam <= 0.0:
             raise ValueError(f"invalid UT scaling for n={n}: n + lambda <= 0")
         return lam
+
+    def weights(self, n: int) -> "UTWeights":
+        """The weights of the 2n+1 point set, computed on the first call per n
+        and kept read-only.  An invalid n is never kept, so it raises the
+        scaling error on every call."""
+        cached = self._weights.get(n)
+        if cached is None:
+            lam = self.scaling(n)
+            scale = n + lam
+            wi = 1.0 / (2.0 * scale)
+            wm = np.full(2 * n + 1, wi)
+            wc = np.full(2 * n + 1, wi)
+            wm[0] = lam / scale
+            wc[0] = wm[0] + (1.0 - self.alpha**2 + self.beta)
+            wm.flags.writeable = False
+            wc.flags.writeable = False
+            cached = self._weights[n] = UTWeights(math.sqrt(scale), wm, wc)
+        return cached
+
+
+@dataclass(frozen=True)
+class UTWeights:
+    """sqrt(n + lambda) and the read-only mean and covariance weights."""
+
+    root_scale: float
+    mean_weights: np.ndarray
+    cov_weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -51,6 +80,20 @@ class SigmaPointSet:
             raise ValueError("points and weights disagree in count")
         if abs(wm.sum() - 1.0) > 1e-12:
             raise ValueError("mean weights must sum to 1")
+        self._set(points, wm, wc)
+
+    @classmethod
+    def _from_filter(
+        cls, points: np.ndarray, weights: UTWeights
+    ) -> "SigmaPointSet":
+        """Set from a (2n+1, n) point array and the matching cached weights,
+        as draw_sigma_points builds them: counts agree and the mean weights
+        sum to 1 by construction, so nothing is re-checked."""
+        sigma = object.__new__(cls)
+        sigma._set(points, weights.mean_weights, weights.cov_weights)
+        return sigma
+
+    def _set(self, points: np.ndarray, wm: np.ndarray, wc: np.ndarray) -> None:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "mean_weights", wm)
         object.__setattr__(self, "cov_weights", wc)
@@ -69,23 +112,17 @@ def draw_sigma_points(belief: GaussianBelief, params: UTParams) -> SigmaPointSet
 
     That factor is sqrt(n+lambda) times the belief's own Cholesky root, so no
     factorization happens here (as in the square-root UKF of van der Merwe
-    and Wan, 2001).
+    and Wan, 2001).  The weights are the read-only ones params keeps per n.
     """
     n = belief.dim
-    lam = params.scaling(n)
-    scale = n + lam
-    root = math.sqrt(scale) * belief.root
+    weights = params.weights(n)
+    root_t = (weights.root_scale * belief.root).T
+    mean = belief.mean
     points = np.empty((2 * n + 1, n))
-    points[0] = belief.mean
-    points[1 : n + 1] = belief.mean + root.T
-    points[n + 1 :] = belief.mean - root.T
-
-    wi = 1.0 / (2.0 * scale)
-    wm = np.full(2 * n + 1, wi)
-    wc = np.full(2 * n + 1, wi)
-    wm[0] = lam / scale
-    wc[0] = wm[0] + (1.0 - params.alpha**2 + params.beta)
-    return SigmaPointSet(points=points, mean_weights=wm, cov_weights=wc)
+    points[0] = mean
+    np.add(mean, root_t, out=points[1 : n + 1])
+    np.subtract(mean, root_t, out=points[n + 1 :])
+    return SigmaPointSet._from_filter(points, weights)
 
 
 def eval_sigma_points(
@@ -102,8 +139,9 @@ def eval_sigma_points(
         )
     if out.shape[0] != sigma.points.shape[0]:
         raise ValueError("map output count does not match sigma point count")
-    finite_rows = np.all(np.isfinite(out), axis=1)
-    if not finite_rows.all():
+    if not np.isfinite(out).all():
+        # scan by row only on failure, to name the first bad point
+        finite_rows = np.all(np.isfinite(out), axis=1)
         bad = int(np.flatnonzero(~finite_rows)[0])
         raise FilterNumericsError(f"map produced non-finite output at sigma point {bad}")
     return out

@@ -177,19 +177,6 @@ def write_dataset(path, anchors: AnchorSet, steps: list[StepRecord]) -> None:
             writer.writerow(row)
 
 
-def convert_raw_dataset(src, dest) -> None:
-    """Adapter stub for raw per-campaign downloads.
-
-    Raw logs vary by campaign; reshape them into anchors.csv (id,x,y,z) and
-    steps.csv (step,truth_x,truth_y,<one column per anchor id>, blank cell =
-    missing) and this pipeline can ingest them via load_dataset.
-    """
-    raise NotImplementedError(
-        "no raw-format adapter is bundled; write anchors.csv and steps.csv "
-        f"(see module docstring) into {dest!s} instead"
-    )
-
-
 def uwb_measurement_model(anchors: AnchorSet, tag_z: float = 0.0) -> NonlinearSSM:
     """Random-walk position model with per-anchor 3D range measurements."""
     positions = anchors.positions

@@ -8,6 +8,7 @@ alternating loop until the state mean stops moving.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
@@ -176,8 +177,8 @@ def sor_step(
     that VB iteration like a failed update does.
 
     force_indicators short-circuits the loop with a fixed expected-indicator
-    vector; all ones reproduces the plain Gaussian-filter update through the
-    identical code path.
+    vector of shape (m,) with entries in [0, 1]; all ones reproduces the
+    plain Gaussian-filter update through the identical code path.
     """
     if variant not in ("parallel", "serial"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -219,10 +220,17 @@ def sor_step(
 
     if force_indicators is not None:
         forced = np.atleast_1d(np.asarray(force_indicators, dtype=float))
+        if forced.shape != (m,):
+            raise ValueError(
+                f"force_indicators shape {forced.shape} does not match ({m},)"
+            )
+        # NaN fails both comparisons
+        if not (forced.min() >= 0.0 and forced.max() <= 1.0):
+            raise ValueError("force_indicators entries must lie in [0, 1]")
         update, _, _ = run_update(forced / r_diag, 0)
         return SorStepResult(
             posterior=posterior_of(update, 0),
-            indicators=IndicatorBelief(np.clip(forced, 0.0, 1.0)),
+            indicators=IndicatorBelief(forced),
             iterations=0,
             converged=True,
         )
@@ -245,8 +253,10 @@ def sor_step(
         update, mu_pp, udiag_pp = run_update(vinv, l)
         iterations = l
 
-        denom = float(np.linalg.norm(prev_mean))
-        delta = float(np.linalg.norm(update.mean - prev_mean))
+        # 2-norms as np.linalg.norm computes them for a float vector
+        change = update.mean - prev_mean
+        denom = math.sqrt(prev_mean.dot(prev_mean))
+        delta = math.sqrt(change.dot(change))
         if denom >= DELTA_DENOM_FLOOR:
             delta /= denom
         if delta <= cfg.tau:

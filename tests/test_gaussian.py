@@ -171,6 +171,15 @@ class TestPredictMeasurement:
                 mu=np.zeros(2), U=np.array([[1.0, 0.5], [0.1, 1.0]]), C=np.zeros((3, 2))
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["mu", "U", "C"])
+    def test_rejects_non_finite_entries(self, field, bad):
+        moments = {"mu": np.zeros(1), "U": np.ones((1, 1)), "C": np.full((2, 1), 0.5)}
+        moments[field] = moments[field].copy()
+        moments[field].flat[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            PredictedMeasurement(**moments)
+
 
 class TestUpdateParallel:
     def test_scalar_kalman_oracle(self):
@@ -241,10 +250,11 @@ class TestUpdateParallel:
 
 
     def test_non_finite_update_raises_value_error(self):
-        belief = GaussianBelief([0.0, 0.0], np.eye(2))
-        predmeas = PredictedMeasurement(mu=[0.0], U=[[1.0]], C=[[np.nan], [0.5]])
-        with pytest.raises(ValueError, match="non-finite"):
-            update_parallel(belief, predmeas, [1.0], [1.0])
+        # finite inputs whose updated mean overflows to inf
+        belief = GaussianBelief([1.7e308, 0.0], np.eye(2))
+        predmeas = PredictedMeasurement(mu=[0.0], U=[[1.0]], C=[[0.5], [0.0]])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            update_parallel(belief, predmeas, [1e308], [1.0])
 
 
 class TestJointFactor:

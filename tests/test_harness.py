@@ -512,6 +512,21 @@ class TestBenchConfig:
         assert kwargs["runs"] == 3
         assert kwargs["filters"] == ("msor",)
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"mode": "missing"}, {"lam": 0.2, "epsilon": 1e-3, "alpha": 0.5}],
+    )
+    def test_keys_bench_ignores_are_refused(self, tmp_path, received, capsys, config):
+        path = tmp_path / "bench.yaml"
+        path.write_text(yaml.safe_dump(config))
+        code = main(["bench", "--m", "4", "--out", str(tmp_path), "--config", str(path)])
+        assert code == 2
+        assert received == []
+        err = capsys.readouterr().err
+        for key in set(config) - {"lam"}:
+            assert repr(key) in err
+        assert "'lam'" not in err.split("reads only")[0]
+
     def test_flags_override_config(self, tmp_path, received):
         config = {"lam": 0.2, "steps": 7, "runs": 3, "filters": ["msor"]}
         self._run(

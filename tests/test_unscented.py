@@ -1,11 +1,14 @@
 """Sigma-point construction and unscented moment approximations."""
 
+import math
+
 import numpy as np
 import pytest
 
 from sorfilt import (
     FilterNumericsError,
     GaussianBelief,
+    SigmaPointSet,
     UTParams,
     draw_sigma_points,
     eval_sigma_points,
@@ -42,6 +45,84 @@ class TestUTParams:
             UTParams(beta=-0.1)
         with pytest.raises(ValueError, match="kappa"):
             UTParams(kappa=-0.1)
+
+
+def _fresh_weights(params, n):
+    """sqrt(n + lambda) and the weights, computed from scratch."""
+    lam = params.scaling(n)
+    scale = n + lam
+    wm = np.full(2 * n + 1, 1.0 / (2.0 * scale))
+    wc = wm.copy()
+    wm[0] = lam / scale
+    wc[0] = wm[0] + (1.0 - params.alpha**2 + params.beta)
+    return math.sqrt(scale), wm, wc
+
+
+class TestWeightCache:
+    @pytest.mark.parametrize(
+        "params",
+        [UTParams(), UTParams(alpha=0.5, kappa=1.0), UTParams(alpha=0.3, beta=0.0, kappa=2.5)],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 5, 11])
+    def test_cached_weights_equal_a_fresh_computation(self, params, n):
+        root_scale, wm, wc = _fresh_weights(params, n)
+        for _ in range(2):  # the computing call and a cached one
+            weights = params.weights(n)
+            assert weights.root_scale == root_scale
+            assert np.array_equal(weights.mean_weights, wm)
+            assert np.array_equal(weights.cov_weights, wc)
+
+    def test_weights_are_kept_per_instance_and_n(self):
+        params = UTParams()
+        assert params.weights(3) is params.weights(3)
+        assert params.weights(3) is not params.weights(4)
+        assert params.weights(3) is not UTParams().weights(3)
+
+    def test_cache_leaves_equality_and_hash_alone(self):
+        used, fresh = UTParams(alpha=0.5), UTParams(alpha=0.5)
+        used.weights(2)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+
+    def test_cached_weights_are_read_only(self):
+        weights = UTParams().weights(2)
+        with pytest.raises(ValueError, match="read-only"):
+            weights.mean_weights[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            weights.cov_weights[1] = 0.0
+
+    def test_invalid_scaling_raises_on_every_call(self):
+        params = UTParams()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="invalid UT scaling"):
+                params.weights(0)
+
+    def test_sigma_points_carry_the_cached_weights(self):
+        params = UTParams(alpha=0.5, kappa=1.0)
+        sigma = draw_sigma_points(GaussianBelief([1.0, 2.0], np.eye(2)), params)
+        assert sigma.mean_weights is params.weights(2).mean_weights
+        assert sigma.cov_weights is params.weights(2).cov_weights
+
+
+class TestSigmaPointSet:
+    def test_rejects_weight_count_mismatch(self):
+        with pytest.raises(ValueError, match="count"):
+            SigmaPointSet(np.zeros((3, 1)), [0.5, 0.5], [0.5, 0.5])
+        with pytest.raises(ValueError, match="count"):
+            SigmaPointSet(np.zeros((3, 1)), [0.0, 0.5, 0.5], [0.5, 0.5])
+
+    def test_rejects_mean_weights_not_summing_to_one(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            SigmaPointSet(np.zeros((3, 1)), [0.1, 0.5, 0.5], [2.0, 0.5, 0.5])
+
+    def test_drawn_set_equals_the_public_constructor(self):
+        rng = np.random.default_rng(11)
+        belief = GaussianBelief(rng.standard_normal(3), _random_spd(rng, 3))
+        drawn = draw_sigma_points(belief, UTParams())
+        public = SigmaPointSet(drawn.points, drawn.mean_weights, drawn.cov_weights)
+        assert np.array_equal(public.points, drawn.points)
+        assert np.array_equal(public.mean_weights, drawn.mean_weights)
+        assert np.array_equal(public.cov_weights, drawn.cov_weights)
 
 
 class TestDrawSigmaPoints:

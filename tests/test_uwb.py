@@ -7,7 +7,6 @@ from sorfilt import (
     AnchorSet,
     DatasetError,
     StepRecord,
-    convert_raw_dataset,
     encode_measurements,
     load_dataset,
     make_synthetic_dataset,
@@ -115,10 +114,6 @@ class TestDatasetIo:
         (tmp_path / "steps.csv").write_text("step,truth_x,truth_y,b,a\n1,0,0,5.5,4.5\n")
         _, steps = load_dataset(tmp_path)
         assert steps[0].ranges == (4.5, 5.5)
-
-    def test_converter_stub_points_at_schema(self, tmp_path):
-        with pytest.raises(NotImplementedError, match="anchors.csv"):
-            convert_raw_dataset(tmp_path, tmp_path)
 
 
 class TestMeasurementModel:

@@ -287,6 +287,41 @@ class TestSorStep:
             assert np.array_equal(forced.posterior.cov, plain.cov)
             assert forced.iterations == 0 and forced.converged
 
+    @pytest.mark.parametrize("variant", ["parallel", "serial"])
+    @pytest.mark.parametrize("forced", [[1.0], np.ones(5), np.ones((4, 1))])
+    def test_forced_indicators_of_the_wrong_shape_raise(self, variant, forced):
+        rng = np.random.default_rng(23)
+        model = _linear_model(rng.standard_normal((4, 2)), np.ones(4))
+        prediction = GaussianBelief(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="force_indicators shape"):
+            sor_step(
+                model, prediction, np.zeros(4), IndicatorConfig(), UTParams(),
+                variant, force_indicators=forced,
+            )
+
+    @pytest.mark.parametrize("bad", [2.0, -0.1, np.nan])
+    def test_forced_indicators_outside_unit_interval_raise(self, bad):
+        rng = np.random.default_rng(24)
+        model = _linear_model(rng.standard_normal((3, 2)), np.ones(3))
+        prediction = GaussianBelief(np.zeros(2), np.eye(2))
+        forced = np.array([1.0, bad, 0.5])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            sor_step(
+                model, prediction, np.zeros(3), IndicatorConfig(), UTParams(),
+                force_indicators=forced,
+            )
+
+    def test_forced_indicators_at_the_bounds_are_reported_as_given(self):
+        rng = np.random.default_rng(25)
+        model = _linear_model(rng.standard_normal((3, 2)), np.ones(3))
+        prediction = GaussianBelief(np.zeros(2), np.eye(2))
+        forced = np.array([0.0, 1.0, 0.25])
+        result = sor_step(
+            model, prediction, np.ones(3), IndicatorConfig(), UTParams(),
+            force_indicators=forced,
+        )
+        assert np.array_equal(result.indicators.omega, forced)
+
     def test_variant_equivalence_on_linear_models(self):
         rng = np.random.default_rng(5)
         cfg = IndicatorConfig()
