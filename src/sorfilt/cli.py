@@ -16,16 +16,18 @@ from .harness import (
     run_uwb_experiment,
 )
 from .uwb import DatasetError
+from .vb import FILTER_NAMES
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, filters: bool = True) -> None:
     parser.add_argument("--config", help="YAML scenario config file")
     parser.add_argument("--seed", type=int, help="base experiment seed")
     parser.add_argument("--runs", type=int, help="Monte Carlo runs")
     parser.add_argument("--out", help="output directory for reports")
-    parser.add_argument(
-        "--filters", help="comma-separated subset of ukf,sor,msor"
-    )
+    if filters:
+        parser.add_argument(
+            "--filters", help=f"comma-separated subset of {','.join(FILTER_NAMES)}"
+        )
 
 
 def _build_config(args, scenario: str) -> ScenarioConfig:
@@ -141,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(fn=_cmd_simulate)
 
     uwb = sub.add_parser("uwb", help="range-only localization experiment")
-    _add_common(uwb)
-    uwb.add_argument("--variant", choices=("ukf", "sor", "msor"))
+    _add_common(uwb, filters=False)  # uwb runs the one filter --variant names
+    uwb.add_argument("--variant", choices=FILTER_NAMES)
     uwb.add_argument("--tag-z", dest="tag_z", type=float, help="fixed tag height [m]")
     uwb.add_argument("--dataset", help="dataset directory (anchors.csv + steps.csv)")
     uwb.set_defaults(fn=_cmd_uwb)

@@ -14,6 +14,7 @@ from .model import (
     GaussianBelief,
     Measurement,
     NonlinearSSM,
+    _is_symmetric,
     symmetrize,
 )
 from .unscented import (
@@ -74,7 +75,7 @@ class PredictedMeasurement:
             raise ValueError(f"C shape {C.shape} does not match meas dim {m}")
         if not (np.isfinite(mu).all() and np.isfinite(U).all() and np.isfinite(C).all()):
             raise ValueError("predicted measurement contains non-finite entries")
-        if np.abs(U - U.T).max(initial=0.0) > 1e-9 * max(1.0, np.abs(U).max(initial=0.0)):
+        if not _is_symmetric(U, rtol=1e-9):
             raise ValueError("U must be symmetric")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "U", symmetrize(U))

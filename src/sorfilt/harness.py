@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .gaussian import update_parallel, update_serial, wrap_angle
+from .gaussian import PredictedMeasurement, update_parallel, update_serial, wrap_angle
 from .model import GaussianBelief, Measurement, chol_lower
 from .tracking import (
     TRACKING_X0,
@@ -29,14 +29,14 @@ from .tracking import (
 from .unscented import UTParams, draw_sigma_points, unscented_moments
 from .uwb import make_synthetic_dataset, load_dataset, run_localization
 from .vb import (
+    FILTER_NAMES,
+    IndicatorBelief,
     IndicatorConfig,
     effective_precision,
     omega_update,
-    sor_filter_run,
-    ukf_filter_run,
+    run_filter,
 )
 
-FILTER_NAMES = ("ukf", "sor", "msor")
 SWEEP_AXES = ("lam", "gamma")
 
 
@@ -45,7 +45,7 @@ class ScenarioConfig:
     """Declarative experiment definition; YAML-loadable, CLI-overridable."""
 
     scenario: str = "tracking"  # tracking | uwb
-    filters: tuple[str, ...] = ("ukf", "sor", "msor")
+    filters: tuple[str, ...] = FILTER_NAMES
     steps: int = 1000
     runs: int = 100
     seed: int = 0
@@ -185,8 +185,8 @@ def run_tracking_single(
 ) -> tuple[np.ndarray, dict[str, FilterRunOutcome]]:
     """One Monte Carlo run: simulate, then run each configured filter.
 
-    Returns the true positions and per-filter outcomes.  Timing covers the
-    filter loop only, never simulation or setup.
+    Returns the true positions and per-filter outcomes.  Timing covers
+    run_filter only, including its O(K m) building of the result arrays.
     """
     rng = run_rng(cfg.seed, run_index)
     sensor_field = SensorField.lattice(cfg.num_pairs)
@@ -210,19 +210,10 @@ def run_tracking_single(
     outcomes: dict[str, FilterRunOutcome] = {}
     for name in cfg.filters:
         start = time.perf_counter()
-        if name == "ukf":
-            beliefs = ukf_filter_run(model, init, measurements, params, "parallel")
-            seconds = time.perf_counter() - start
-            estimates = np.array([b.mean[[0, 2]] for b in beliefs])
-            iterations = np.zeros(cfg.steps, dtype=int)
-        else:
-            variant = "parallel" if name == "sor" else "serial"
-            results = sor_filter_run(model, init, measurements, icfg, params, variant)
-            seconds = time.perf_counter() - start
-            estimates = np.array([r.posterior.mean[[0, 2]] for r in results])
-            iterations = np.array([r.iterations for r in results])
+        means, _, iterations = run_filter(name, model, init, measurements, icfg, params)
+        seconds = time.perf_counter() - start
         outcomes[name] = FilterRunOutcome(
-            estimates=estimates, seconds=seconds, iterations=iterations
+            estimates=means[:, [0, 2]], seconds=seconds, iterations=iterations
         )
     return traj.positions, outcomes
 
@@ -254,12 +245,6 @@ class RunReport:
         return not self.failures
 
 
-def _point_label(axis: str | None, value) -> str:
-    if axis is None:
-        return "run"
-    return f"sweep_{axis}_{value}"
-
-
 def run_sweep(cfg: ScenarioConfig) -> RunReport:
     """Execute the configured tracking sweep and write CSV + JSON reports.
 
@@ -280,11 +265,7 @@ def run_sweep(cfg: ScenarioConfig) -> RunReport:
     for value in values:
         lam = float(value) if axis == "lam" else None
         gamma_law = float(value) if axis == "gamma" else None
-        truths, per_filter_est, per_filter_sec, per_filter_iter = [], {}, {}, {}
-        for name in cfg.filters:
-            per_filter_est[name] = []
-            per_filter_sec[name] = []
-            per_filter_iter[name] = []
+        truths, per_filter = [], {name: [] for name in cfg.filters}
         for run_index in range(cfg.runs):
             try:
                 truth, outcomes = run_tracking_single(cfg, run_index, lam, gamma_law)
@@ -293,35 +274,31 @@ def run_sweep(cfg: ScenarioConfig) -> RunReport:
                 continue
             truths.append(truth)
             for name, outcome in outcomes.items():
-                per_filter_est[name].append(outcome.estimates)
-                per_filter_sec[name].append(outcome.seconds)
-                per_filter_iter[name].append(outcome.iterations)
+                per_filter[name].append(outcome)
 
         filter_reports: dict[str, FilterReport] = {}
         if truths:
             truth_stack = np.stack(truths)
-            for name in cfg.filters:
-                est_stack = np.stack(per_filter_est[name])
+            for name, runs in per_filter.items():
+                est_stack = np.stack([o.estimates for o in runs])
                 per_step, aggregate = rmse_pos(est_stack, truth_stack)
-                iters = np.concatenate(per_filter_iter[name])
+                iters = np.concatenate([o.iterations for o in runs])
                 filter_reports[name] = FilterReport(
                     rmse_per_step=per_step,
                     rmse_aggregate=aggregate,
                     rmse_per_run=rmse_pos_per_run(est_stack, truth_stack),
-                    seconds_per_run=np.asarray(per_filter_sec[name]),
+                    seconds_per_run=np.array([o.seconds for o in runs]),
                     iterations_mean=float(iters.mean()),
                     iterations_max=int(iters.max()),
                 )
         points.append(SweepPointReport(axis_value=value, filters=filter_reports))
 
-        csv_path = out_dir / f"{_point_label(axis, value)}.csv"
-        with csv_path.open("w", newline="") as handle:
+        label = "run" if axis is None else f"sweep_{axis}_{value}"
+        with (out_dir / f"{label}.csv").open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["filter", "step", "rmse"])
-            for name in cfg.filters:
-                if name not in filter_reports:
-                    continue
-                for step, rmse in enumerate(filter_reports[name].rmse_per_step, 1):
+            for name, rep in filter_reports.items():
+                for step, rmse in enumerate(rep.rmse_per_step, 1):
                     writer.writerow([name, step, repr(float(rmse))])
 
         summary_points.append(
@@ -522,8 +499,6 @@ def invariant_checks() -> list[CheckResult]:
         assert np.allclose(u, a @ cov @ a.T, atol=1e-8)
 
     def check_scalar_kalman():
-        from .gaussian import PredictedMeasurement
-
         belief = GaussianBelief([0.0], [[1.0]])
         predmeas = PredictedMeasurement(mu=[0.0], U=[[1.0]], C=[[1.0]])
         post = update_parallel(belief, predmeas, [2.0], [1.0])
@@ -531,8 +506,6 @@ def invariant_checks() -> list[CheckResult]:
         assert np.allclose(post.cov, [[0.5]], atol=1e-12)
 
     def check_serial_matches_parallel():
-        from .gaussian import PredictedMeasurement
-
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(11)))
         n, m = 4, 7
         joint_root = rng.standard_normal((n + m, n + m))
@@ -555,8 +528,6 @@ def invariant_checks() -> list[CheckResult]:
         assert abs(omega_update(0.0, 1.0, 0.95, 1e-6) - 0.9999474) < 1e-6
 
     def check_effective_precision():
-        from .vb import IndicatorBelief
-
         vinv = effective_precision(IndicatorBelief([1.0, 0.0]), [4.0, 9.0], 1e-6)
         assert np.allclose(vinv, [0.25, 1e-6 / 9.0], rtol=1e-9)
 

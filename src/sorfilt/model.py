@@ -32,6 +32,12 @@ def symmetrize(mat: Matrix) -> Matrix:
     return 0.5 * (mat + mat.T)
 
 
+def _is_symmetric(mat: Matrix, rtol: float = SYMMETRY_RTOL) -> bool:
+    """max |mat - mat.T| within rtol * max(1, max |mat|); NaN fails."""
+    skew = np.abs(mat - mat.T).max(initial=0.0)
+    return bool(skew <= rtol * max(1.0, np.abs(mat).max(initial=0.0)))
+
+
 def _jitter_for(mat: Matrix) -> float:
     n = mat.shape[0]
     jitter = JITTER_SCALE * float(np.trace(mat)) / n
@@ -100,8 +106,7 @@ class GaussianBelief:
             raise ValueError(f"cov shape {cov.shape} does not match state dim {n}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("belief contains non-finite entries")
-        skew = np.abs(cov - cov.T).max(initial=0.0)
-        if skew > SYMMETRY_RTOL * max(1.0, np.abs(cov).max(initial=0.0)):
+        if not _is_symmetric(cov):
             raise ValueError("cov is not symmetric within tolerance")
         sym = symmetrize(cov)
         try:
@@ -222,9 +227,7 @@ def validate_model(model: NonlinearSSM) -> ValidationReport:
         )
     else:
         q = model.process_cov
-        if np.abs(q - q.T).max(initial=0.0) > SYMMETRY_RTOL * max(
-            1.0, np.abs(q).max(initial=0.0)
-        ):
+        if not _is_symmetric(q):
             issues.append("process_cov must be symmetric")
         elif np.linalg.eigvalsh(symmetrize(q)).min() < -1e-10 * max(
             1.0, np.abs(q).max(initial=0.0)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import GaussianBelief, Measurement, NonlinearSSM
 from .unscented import UTParams
-from .vb import IndicatorConfig, sor_filter_run, ukf_filter_run
+from .vb import FILTER_NAMES, IndicatorConfig, run_filter
 
 MAX_ACTIVE_RANGES = 4
 MISSING_SENTINEL = 0.0
@@ -232,47 +232,29 @@ def run_localization(
 
     variant is one of ukf, sor (parallel updates), msor (serial updates).
     Missing readings enter the filter as the 0.0 sentinel; rejection is the
-    indicator model's job.  The reported runtime covers the filter loop only.
+    indicator model's job.  The reported runtime covers run_filter only,
+    including its O(K m) building of the result arrays.
     """
-    if variant not in ("ukf", "sor", "msor"):
+    if variant not in FILTER_NAMES:
         raise ValueError(f"unknown variant {variant!r}")
     cfg = cfg or IndicatorConfig()
     params = params or UTParams()
     model = uwb_measurement_model(anchors, tag_z)
     num = len(steps)
-    empty = LocalizationResult(
-        estimates=np.zeros((0, 2)),
-        omegas=np.zeros((0, len(anchors))),
-        rmse_m=0.0,
-        runtime_s=0.0,
-        steps=0,
-        iterations=np.zeros(0, dtype=int),
-    )
-    if num == 0:
-        return empty
-
     encoded = encode_measurements(steps, len(anchors))
     measurements = [Measurement(k + 1, encoded[k]) for k in range(num)]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    p0 = 0.5 * np.eye(2)
-    init = GaussianBelief(rng.normal(0.0, np.sqrt(0.5), size=2), p0)
+    init = GaussianBelief(rng.normal(0.0, np.sqrt(0.5), size=2), 0.5 * np.eye(2))
 
     start = time.perf_counter()
-    if variant == "ukf":
-        beliefs = ukf_filter_run(model, init, measurements, params, "parallel")
-        estimates = np.array([b.mean for b in beliefs])
-        omegas = np.ones((num, len(anchors)))
-        iterations = np.zeros(num, dtype=int)
-    else:
-        inner = "parallel" if variant == "sor" else "serial"
-        results = sor_filter_run(model, init, measurements, cfg, params, inner)
-        estimates = np.array([r.posterior.mean for r in results])
-        omegas = np.array([r.indicators.omega for r in results])
-        iterations = np.array([r.iterations for r in results])
+    estimates, omegas, iterations = run_filter(
+        variant, model, init, measurements, cfg, params
+    )
     runtime = time.perf_counter() - start
 
-    truth = np.array([record.truth for record in steps])
-    rmse = float(np.sqrt(np.mean(np.sum((estimates - truth) ** 2, axis=1))))
+    truth = np.array([record.truth for record in steps]).reshape(num, 2)
+    sq_err = np.sum((estimates - truth) ** 2, axis=1)
+    rmse = float(np.sqrt(np.mean(sq_err))) if num else 0.0
     return LocalizationResult(
         estimates=estimates,
         omegas=omegas,

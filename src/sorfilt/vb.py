@@ -9,8 +9,9 @@ alternating loop until the state mean stops moving.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal
 
 import numpy as np
 from scipy.special import expit
@@ -39,6 +40,8 @@ from .unscented import (
 
 Variant = Literal["parallel", "serial"]
 
+FILTER_NAMES = ("ukf", "sor", "msor")  # plain baseline, parallel and serial updates
+
 DELTA_DENOM_FLOOR = 1e-12
 
 
@@ -53,15 +56,16 @@ class IndicatorConfig:
     max_iters: int = 50
 
     def __post_init__(self) -> None:
+        # each check is written so that a NaN fails it
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie strictly inside (0, 1)")
         theta = np.atleast_1d(np.asarray(self.theta_prior, dtype=float))
-        if np.any(theta <= 0.0) or np.any(theta >= 1.0):
+        if not (theta.min(initial=0.5) > 0.0 and theta.max(initial=0.5) < 1.0):
             raise ValueError("theta_prior entries must lie strictly inside (0, 1)")
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise ValueError("tau must be > 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError("max_iters must be an integer >= 1")
 
     def thetas(self, m: int) -> np.ndarray:
         theta = np.atleast_1d(np.asarray(self.theta_prior, dtype=float))
@@ -80,13 +84,19 @@ class IndicatorBelief:
 
     def __post_init__(self) -> None:
         omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
-        if np.any(omega < 0.0) or np.any(omega > 1.0):
+        # NaN fails both comparisons
+        if not (omega.min(initial=0.0) >= 0.0 and omega.max(initial=0.0) <= 1.0):
             raise ValueError("omega entries must lie in [0, 1]")
         object.__setattr__(self, "omega", omega)
 
     def expected(self, epsilon: float) -> np.ndarray:
         """Expected indicator <I_i> = omega_i + (1 - omega_i) * eps."""
-        return self.omega + (1.0 - self.omega) * epsilon
+        return _expected_indicator(self.omega, epsilon)
+
+
+def _expected_indicator(omega: np.ndarray, epsilon: float) -> np.ndarray:
+    """<I_i> = omega_i + (1 - omega_i) * eps, the indicator's mean on {eps, 1}."""
+    return omega + (1.0 - omega) * epsilon
 
 
 @dataclass(frozen=True)
@@ -128,12 +138,18 @@ def omega_update(W_ii, R_ii, theta, epsilon):
 
 
 def effective_precision(indicators, R_diag, epsilon: float) -> np.ndarray:
-    """Vinv_diag[i] = <I_i> / R_ii with <I_i> = omega_i + (1 - omega_i) eps."""
-    omega = np.asarray(getattr(indicators, "omega", indicators), dtype=float)
+    """Vinv_diag[i] = <I_i> / R_ii with <I_i> = omega_i + (1 - omega_i) eps,
+    for an IndicatorBelief or an omega vector with entries in [0, 1]."""
+    belief = IndicatorBelief(getattr(indicators, "omega", indicators))
     r = np.atleast_1d(np.asarray(R_diag, dtype=float))
-    if omega.shape != r.shape:
+    if belief.omega.shape != r.shape:
         raise ValueError("omega and R_diag lengths disagree")
-    return (omega + (1.0 - omega) * epsilon) / r
+    return belief.expected(epsilon) / r
+
+
+def _check_variant(variant) -> None:
+    if variant not in ("parallel", "serial"):
+        raise ValueError(f"unknown variant {variant!r}")
 
 
 def _joint_factor(
@@ -180,8 +196,7 @@ def sor_step(
     vector of shape (m,) with entries in [0, 1]; all ones reproduces the
     plain Gaussian-filter update through the identical code path.
     """
-    if variant not in ("parallel", "serial"):
-        raise ValueError(f"unknown variant {variant!r}")
+    _check_variant(variant)
     m = model.meas_dim
     r_diag = model.meas_var_diag
     mask = model.angular_mask
@@ -247,7 +262,7 @@ def sor_step(
         resid = innovation(yv, mu_pp, mask)
         w = resid**2 + udiag_pp
         omega = omega_update(w, r_diag, thetas, cfg.epsilon)
-        vinv = (omega + (1.0 - omega) * cfg.epsilon) / r_diag
+        vinv = _expected_indicator(omega, cfg.epsilon) / r_diag
 
         prev_mean = update.mean
         update, mu_pp, udiag_pp = run_update(vinv, l)
@@ -279,6 +294,7 @@ def ukf_step(
     variant: Variant = "parallel",
 ) -> GaussianBelief:
     """Plain (non-robust) Gaussian-filter update with noise R."""
+    _check_variant(variant)
     mask = model.angular_mask
     vinv = 1.0 / model.meas_var_diag
     if variant == "serial":
@@ -288,20 +304,24 @@ def ukf_step(
     return update_parallel(prediction, predmeas, y, vinv, mask)
 
 
-def _at_time_step(exc: FilterNumericsError, meas, position: int) -> FilterNumericsError:
-    """The error re-raised with the time step it happened at: the
-    measurement's time_index, or its 1-based position for a bare vector."""
-    k = meas.time_index if isinstance(meas, Measurement) else position
-    return FilterNumericsError(f"time step {k}: {exc}", time_index=k)
-
-
-def _check_ordering(measurements: Sequence[Measurement]) -> None:
-    last = 0
-    for meas in measurements:
-        if isinstance(meas, Measurement):
-            if meas.time_index <= last:
-                raise ValueError("measurements must be ordered by time_index")
-            last = meas.time_index
+def _drive(model, init, measurements, params, step) -> list:
+    """Alternate predict and step(prediction, meas) -> (result, posterior)
+    over an ordered measurement sequence; a FilterNumericsError is re-raised
+    naming its time_index, or the 1-based position of a bare vector."""
+    measurements = list(measurements)
+    stamps = [y.time_index for y in measurements if isinstance(y, Measurement)]
+    if any(later <= earlier for earlier, later in zip([0] + stamps, stamps)):
+        raise ValueError("measurements must be ordered by time_index")
+    belief = init
+    results = []
+    try:
+        for meas in measurements:
+            result, belief = step(predict(model, belief, params), meas)
+            results.append(result)
+    except FilterNumericsError as exc:
+        k = meas.time_index if isinstance(meas, Measurement) else len(results) + 1
+        raise FilterNumericsError(f"time step {k}: {exc}", time_index=k) from exc
+    return results
 
 
 def sor_filter_run(
@@ -318,21 +338,13 @@ def sor_filter_run(
     A FilterNumericsError is re-raised naming the time step (message and
     time_index attribute).
     """
-    measurements = list(measurements)
-    _check_ordering(measurements)
-    belief = init
-    results: list[SorStepResult] = []
-    try:
-        for meas in measurements:
-            prediction = predict(model, belief, params)
-            step = sor_step(
-                model, prediction, meas, cfg, params, variant, force_indicators
-            )
-            belief = step.posterior
-            results.append(step)
-    except FilterNumericsError as exc:
-        raise _at_time_step(exc, meas, len(results) + 1) from exc
-    return results
+    _check_variant(variant)
+
+    def step(pred, meas):
+        result = sor_step(model, pred, meas, cfg, params, variant, force_indicators)
+        return result, result.posterior
+
+    return _drive(model, init, measurements, params, step)
 
 
 def ukf_filter_run(
@@ -342,20 +354,42 @@ def ukf_filter_run(
     params: UTParams,
     variant: Variant = "parallel",
 ) -> list[GaussianBelief]:
-    """Plain Gaussian-filter trajectory used as the non-robust baseline.
+    """Plain Gaussian-filter trajectory used as the non-robust baseline; a
+    FilterNumericsError is re-raised naming the time step, as in sor_filter_run."""
+    _check_variant(variant)
 
-    A FilterNumericsError is re-raised naming the time step, as in
-    sor_filter_run.
+    def step(pred, meas):
+        posterior = ukf_step(model, pred, meas, params, variant)
+        return posterior, posterior
+
+    return _drive(model, init, measurements, params, step)
+
+
+def run_filter(
+    name: str,
+    model: NonlinearSSM,
+    init: GaussianBelief,
+    measurements: Iterable,
+    cfg: IndicatorConfig,
+    params: UTParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the filter called name, one of FILTER_NAMES, over K measurements.
+
+    Returns means (K, n), omegas (K, m) and integer iterations (K,); ukf,
+    the plain filter, reports unit omegas and zero iterations.
     """
-    measurements = list(measurements)
-    _check_ordering(measurements)
-    belief = init
-    results: list[GaussianBelief] = []
-    try:
-        for meas in measurements:
-            prediction = predict(model, belief, params)
-            belief = ukf_step(model, prediction, meas, params, variant)
-            results.append(belief)
-    except FilterNumericsError as exc:
-        raise _at_time_step(exc, meas, len(results) + 1) from exc
-    return results
+    if name not in FILTER_NAMES:
+        raise ValueError(f"unknown filter {name!r}; expected one of {FILTER_NAMES}")
+    if name == "ukf":
+        posteriors = ukf_filter_run(model, init, measurements, params, "parallel")
+        omegas = np.ones((len(posteriors), model.meas_dim))
+        iterations = np.zeros(len(posteriors), dtype=int)
+    else:
+        variant = "parallel" if name == "sor" else "serial"
+        results = sor_filter_run(model, init, measurements, cfg, params, variant)
+        posteriors = [r.posterior for r in results]
+        omegas = np.array([r.indicators.omega for r in results])
+        omegas = omegas.reshape(-1, model.meas_dim)
+        iterations = np.array([r.iterations for r in results], dtype=int)
+    means = np.array([b.mean for b in posteriors]).reshape(-1, init.dim)
+    return means, omegas, iterations

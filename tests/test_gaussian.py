@@ -171,6 +171,17 @@ class TestPredictMeasurement:
                 mu=np.zeros(2), U=np.array([[1.0, 0.5], [0.1, 1.0]]), C=np.zeros((3, 2))
             )
 
+    def test_symmetry_tolerance_is_1e_9_relative(self):
+        # looser than a belief's 1e-12: U is summed from sigma-point images
+        for skew, ok in ((1e-10, True), (1e-8, False)):
+            u = np.array([[1.0, 0.5], [0.5 + skew, 1.0]])
+            args = dict(mu=np.zeros(2), U=u, C=np.zeros((3, 2)))
+            if ok:
+                PredictedMeasurement(**args)
+            else:
+                with pytest.raises(ValueError, match="symmetric"):
+                    PredictedMeasurement(**args)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["mu", "U", "C"])
     def test_rejects_non_finite_entries(self, field, bad):

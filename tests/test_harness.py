@@ -423,6 +423,13 @@ class TestCli:
         assert code == 2
         assert "dataset error" in capsys.readouterr().err
 
+    def test_uwb_refuses_filters(self, tmp_path, capsys):
+        # uwb runs the one filter --variant names; --filters would be ignored
+        with pytest.raises(SystemExit) as info:
+            main(["uwb", "--filters", "sor", "--out", str(tmp_path)])
+        assert info.value.code == 2
+        assert "--filters" in capsys.readouterr().err
+
     def test_uwb_dataset_exit_zero(self, tmp_path, capsys):
         data_dir = _toy_uwb_dir(tmp_path / "data")
         code = main(

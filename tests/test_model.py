@@ -172,6 +172,15 @@ class TestValidateModel:
         report = validate_model(_toy_model(process_cov=np.diag([1.0, -1.0])))
         assert any("positive semidefinite" in s for s in report.issues)
 
+    def test_asymmetric_process_cov_reported(self):
+        q = np.array([[1.0, 0.5], [0.5 + 1e-10, 1.0]])
+        report = validate_model(_toy_model(process_cov=q))
+        assert "process_cov must be symmetric" in report.issues
+
+    def test_nan_process_cov_reported(self):
+        q = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        assert not validate_model(_toy_model(process_cov=q)).ok
+
     def test_psd_singular_process_cov_accepted(self):
         report = validate_model(_toy_model(process_cov=np.diag([1.0, 0.0])))
         assert report.ok, report.issues

@@ -46,6 +46,12 @@ class TestUTParams:
         with pytest.raises(ValueError, match="kappa"):
             UTParams(kappa=-0.1)
 
+    def test_rejects_nan_beta_kappa(self):
+        with pytest.raises(ValueError, match="beta"):
+            UTParams(beta=float("nan"))
+        with pytest.raises(ValueError, match="kappa"):
+            UTParams(kappa=float("nan"))
+
 
 def _fresh_weights(params, n):
     """sqrt(n + lambda) and the weights, computed from scratch."""

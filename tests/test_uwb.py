@@ -199,6 +199,16 @@ class TestRunLocalization:
         assert result.steps == 0
         assert result.estimates.shape == (0, 2)
 
+    @pytest.mark.parametrize("variant", ["ukf", "sor", "msor"])
+    def test_empty_dataset_shapes(self, variant):
+        # a RuntimeWarning (mean of an empty slice) would fail this test
+        anchors, _ = _toy_dataset()
+        result = run_localization(anchors, [], variant=variant)
+        assert result.omegas.shape == (0, len(anchors))
+        assert result.iterations.shape == (0,)
+        assert result.iterations.dtype.kind == "i"
+        assert result.rmse_m == 0.0
+
     def test_rejects_unknown_variant(self):
         anchors, steps = _toy_dataset()
         with pytest.raises(ValueError, match="variant"):

@@ -8,20 +8,32 @@ import pytest
 import sorfilt.model
 import sorfilt.vb
 from sorfilt import (
+    FILTER_NAMES,
+    CorruptionConfig,
     FilterNumericsError,
     GaussianBelief,
     IndicatorBelief,
     IndicatorConfig,
     Measurement,
     NonlinearSSM,
+    SensorField,
+    TurnModelConfig,
     UTParams,
     effective_precision,
+    encode_measurements,
+    make_synthetic_dataset,
+    make_tracking_model,
     omega_update,
     predict,
+    process_noise_cov,
+    run_filter,
+    run_rng,
+    simulate_trajectory,
     sor_filter_run,
     sor_step,
     ukf_filter_run,
     ukf_step,
+    uwb_measurement_model,
 )
 
 
@@ -123,6 +135,11 @@ class TestEffectivePrecision:
         vinv = effective_precision(IndicatorBelief(np.zeros(2)), r, 1e-4)
         assert np.allclose(vinv, 1e-4 / r, rtol=1e-15)
 
+    @pytest.mark.parametrize("bad", [2.0, np.nan])
+    def test_rejects_omega_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match="omega"):
+            effective_precision(np.array([1.0, bad]), [1.0, 1.0], 1e-6)
+
 
 class TestIndicatorTypes:
     def test_config_defaults(self):
@@ -144,6 +161,24 @@ class TestIndicatorTypes:
         with pytest.raises(ValueError):
             IndicatorConfig(theta_prior=np.array([0.5, 1.0]))
 
+    def test_config_rejects_nan_theta(self):
+        with pytest.raises(ValueError, match="theta_prior"):
+            IndicatorConfig(theta_prior=np.nan)
+        with pytest.raises(ValueError, match="theta_prior"):
+            IndicatorConfig(theta_prior=np.array([0.5, np.nan]))
+
+    def test_config_rejects_nan_tau(self):
+        with pytest.raises(ValueError, match="tau"):
+            IndicatorConfig(tau=np.nan)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, np.nan])
+    def test_config_rejects_non_integer_max_iters(self, bad):
+        with pytest.raises(ValueError, match="max_iters"):
+            IndicatorConfig(max_iters=bad)
+
+    def test_config_accepts_numpy_integer_max_iters(self):
+        assert IndicatorConfig(max_iters=np.int64(3)).max_iters == 3
+
     def test_config_vector_theta(self):
         cfg = IndicatorConfig(theta_prior=np.array([0.2, 0.8]))
         assert np.allclose(cfg.thetas(2), [0.2, 0.8])
@@ -155,6 +190,10 @@ class TestIndicatorTypes:
             IndicatorBelief([1.5])
         with pytest.raises(ValueError):
             IndicatorBelief([-0.1])
+
+    def test_belief_rejects_nan(self):
+        with pytest.raises(ValueError, match="omega"):
+            IndicatorBelief([0.5, np.nan])
 
     def test_expected_indicator_interpolates(self):
         belief = IndicatorBelief([1.0, 0.0, 0.5])
@@ -412,6 +451,13 @@ class TestUkfStep:
             assert np.allclose(post.mean, mean, rtol=1e-9, atol=1e-9)
             assert np.allclose(post.cov, cov, rtol=1e-8, atol=1e-9)
 
+    def test_rejects_unknown_variant(self):
+        # a misspelt backend must not silently run the parallel update
+        model = _linear_model(np.eye(1), np.ones(1))
+        prediction = GaussianBelief([0.0], [[1.0]])
+        with pytest.raises(ValueError, match="variant"):
+            ukf_step(model, prediction, [0.0], UTParams(), "Serial")
+
 
 class TestFilterRuns:
     def test_empty_sequence_is_empty(self):
@@ -419,6 +465,14 @@ class TestFilterRuns:
         init = GaussianBelief(np.zeros(2), np.eye(2))
         assert sor_filter_run(model, init, [], IndicatorConfig(), UTParams()) == []
         assert ukf_filter_run(model, init, [], UTParams()) == []
+
+    def test_runs_reject_unknown_variant_even_without_measurements(self):
+        model = _linear_model(np.eye(1), np.ones(1))
+        init = GaussianBelief([0.0], [[1.0]])
+        with pytest.raises(ValueError, match="variant"):
+            ukf_filter_run(model, init, [], UTParams(), "Serial")
+        with pytest.raises(ValueError, match="variant"):
+            sor_filter_run(model, init, [], IndicatorConfig(), UTParams(), "Serial")
 
     def test_rejects_unordered_measurements(self):
         model = _linear_model(np.eye(2), np.ones(2))
@@ -500,4 +554,84 @@ class TestFilterRuns:
         ys = [np.array([0.0]), np.array([20.0]), np.array([0.0])]
         with pytest.raises(FilterNumericsError, match="time step 3:") as info:
             ukf_filter_run(model, init, ys, UTParams())
+        assert info.value.time_index == 3
+
+
+def _tracking_case(steps=20, seed=3):
+    """(model, init, measurements) of a small run of the tracking world."""
+    rng = run_rng(seed, 0)
+    sensor_field = SensorField.lattice(3)
+    turn_cfg = TurnModelConfig()
+    corruption = CorruptionConfig(mode="outliers", lam=0.3)
+    traj = simulate_trajectory(turn_cfg, sensor_field, corruption, steps, rng)
+    model = make_tracking_model(sensor_field, turn_cfg)
+    init = GaussianBelief(traj.states[0], 100.0 * process_noise_cov(turn_cfg))
+    ys = [Measurement(k + 1, traj.measurements[k]) for k in range(steps)]
+    return model, init, ys
+
+
+def _uwb_case(steps=20, seed=4):
+    """(model, init, measurements) of a small synthetic UWB room."""
+    anchors, records = make_synthetic_dataset(seed=seed, num_steps=steps)
+    encoded = encode_measurements(records, len(anchors))
+    init = GaussianBelief(records[0].truth, 0.5 * np.eye(2))
+    ys = [Measurement(k + 1, encoded[k]) for k in range(steps)]
+    return uwb_measurement_model(anchors), init, ys
+
+
+class TestRunFilter:
+    @pytest.mark.parametrize("case", [_tracking_case, _uwb_case])
+    @pytest.mark.parametrize("name", FILTER_NAMES)
+    def test_equals_the_direct_runs_bit_for_bit(self, case, name):
+        model, init, ys = case()
+        cfg, params = IndicatorConfig(), UTParams()
+        means, omegas, iterations = run_filter(name, model, init, ys, cfg, params)
+        if name == "ukf":
+            beliefs = ukf_filter_run(model, init, ys, params, "parallel")
+            expected_omegas = np.ones((len(ys), model.meas_dim))
+            expected_iterations = np.zeros(len(ys), dtype=int)
+        else:
+            variant = "parallel" if name == "sor" else "serial"
+            results = sor_filter_run(model, init, ys, cfg, params, variant)
+            beliefs = [r.posterior for r in results]
+            expected_omegas = np.array([r.indicators.omega for r in results])
+            expected_iterations = np.array([r.iterations for r in results])
+        assert np.array_equal(means, np.array([b.mean for b in beliefs]))
+        assert np.array_equal(omegas, expected_omegas)
+        assert np.array_equal(iterations, expected_iterations)
+        assert iterations.dtype.kind == "i"
+
+    @pytest.mark.parametrize("name", FILTER_NAMES)
+    def test_empty_sequence_gives_empty_arrays(self, name):
+        model, init, _ = _uwb_case()
+        means, omegas, iterations = run_filter(
+            name, model, init, [], IndicatorConfig(), UTParams()
+        )
+        assert means.shape == (0, 2)
+        assert omegas.shape == (0, model.meas_dim)
+        assert iterations.shape == (0,)
+        assert iterations.dtype.kind == "i"
+
+    def test_rejects_unknown_name(self):
+        model, init, ys = _uwb_case(steps=2)
+        with pytest.raises(ValueError, match="unknown filter 'ekf'"):
+            run_filter("ekf", model, init, ys, IndicatorConfig(), UTParams())
+
+    @pytest.mark.parametrize("name", FILTER_NAMES)
+    def test_numerics_error_names_its_time_step(self, name):
+        # h turns non-finite once the state passes 2.5: step 3 is the first
+        # whose sigma points reach it
+        model = NonlinearSSM(
+            state_dim=1,
+            meas_dim=1,
+            process_fn=lambda x: x + 1.0,
+            meas_fn=lambda x: np.where(x[..., :1] < 2.5, x[..., :1], np.inf),
+            process_cov=np.array([[1e-6]]),
+            meas_var_diag=np.array([1e-2]),
+            vectorized=True,
+        )
+        init = GaussianBelief([0.0], [[1e-6]])
+        ys = [Measurement(k, [float(k)]) for k in range(1, 5)]
+        with pytest.raises(FilterNumericsError, match="time step 3:") as info:
+            run_filter(name, model, init, ys, IndicatorConfig(), UTParams())
         assert info.value.time_index == 3
