@@ -30,25 +30,43 @@ def _add_common(parser: argparse.ArgumentParser, filters: bool = True) -> None:
         )
 
 
+class _ConfigError(Exception):
+    """A config file or flag value the command cannot run with."""
+
+
 def _build_config(args, scenario: str) -> ScenarioConfig:
-    if args.config:
-        cfg = ScenarioConfig.from_yaml(args.config)
-    else:
-        cfg = ScenarioConfig(scenario=scenario)
     filters = None
     if getattr(args, "filters", None):
         filters = tuple(p.strip() for p in args.filters.split(",") if p.strip())
-    return cfg.with_overrides(
-        scenario=scenario,
-        seed=args.seed,
-        runs=args.runs,
-        out=args.out,
-        filters=filters,
-        variant=getattr(args, "variant", None),
-        tag_z=getattr(args, "tag_z", None),
-        dataset=getattr(args, "dataset", None),
-        steps=getattr(args, "steps", None),
-    )
+    try:
+        cfg = (
+            ScenarioConfig.from_yaml(args.config)
+            if args.config
+            else ScenarioConfig(scenario=scenario)
+        )
+        return cfg.with_overrides(
+            scenario=scenario,
+            seed=args.seed,
+            runs=args.runs,
+            out=args.out,
+            filters=filters,
+            variant=getattr(args, "variant", None),
+            tag_z=getattr(args, "tag_z", None),
+            dataset=getattr(args, "dataset", None),
+            steps=getattr(args, "steps", None),
+        )
+    except ValueError as exc:
+        raise _ConfigError(str(exc)) from exc
+
+
+def _config_keys(args) -> set[str]:
+    """The keys the --config file sets; none without one."""
+    if not args.config:
+        return set()
+    try:
+        return set(ScenarioConfig.read_yaml(args.config))
+    except ValueError as exc:
+        raise _ConfigError(str(exc)) from exc
 
 
 def _cmd_simulate(args) -> int:
@@ -71,6 +89,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_uwb(args) -> int:
+    if "filters" in _config_keys(args):
+        raise _ConfigError(
+            "uwb does not use the key 'filters'; "
+            "it runs the one filter that 'variant' names"
+        )
     cfg = _build_config(args, "uwb")
     try:
         report = run_uwb_experiment(cfg)
@@ -90,15 +113,13 @@ BENCH_CONFIG_KEYS = BENCH_KEYS + ("seed", "out")
 
 
 def _cmd_bench(args) -> int:
-    given = set(ScenarioConfig.read_yaml(args.config)) if args.config else set()
+    given = _config_keys(args)
     ignored = sorted(given - set(BENCH_CONFIG_KEYS))
     if ignored:
-        print(
-            f"config error: bench does not use the keys {ignored}; "
-            f"it reads only {sorted(BENCH_CONFIG_KEYS)}",
-            file=sys.stderr,
+        raise _ConfigError(
+            f"bench does not use the keys {ignored}; "
+            f"it reads only {sorted(BENCH_CONFIG_KEYS)}"
         )
-        return 2
     cfg = _build_config(args, "tracking")
     m_values = tuple(int(p) for p in args.m.split(","))
     given |= {key for key in BENCH_KEYS if getattr(args, key, None) is not None}
@@ -163,7 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -90,6 +90,8 @@ class ScenarioConfig:
         if not filters or unknown:
             raise ValueError(f"filters must be a non-empty subset of {FILTER_NAMES}")
         object.__setattr__(self, "filters", filters)
+        if self.variant not in FILTER_NAMES:
+            raise ValueError(f"variant must be one of {FILTER_NAMES}")
         if self.sweep_axis is not None:
             if self.sweep_axis not in SWEEP_AXES:
                 raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")

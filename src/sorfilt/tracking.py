@@ -169,23 +169,33 @@ def sample_gamma(cfg: CorruptionConfig, rng: np.random.Generator) -> float:
 def corrupt(
     clean, cfg: CorruptionConfig, rng: np.random.Generator, gamma: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Corrupt one clean measurement vector.
+    """Corrupt one clean measurement vector of m readings.
 
     Returns (values, flags) where flags marks the dimensions hit this step.
     gamma should be passed in by trajectory-level callers, which draw it once
-    per run; left as None it is sampled per call.
+    per run; left as None it is sampled per call.  Draws, in this order: the
+    gamma sample (only when gamma is None and gamma_law is an interval), then
+    rng.random(m) for the flags, then rng.standard_normal(m) for the noise,
+    which is drawn in both modes.
     """
     clean = np.atleast_1d(np.asarray(clean, dtype=float))
     m = clean.size
     sigmas = nominal_sigmas(cfg, m)
     if gamma is None:
         gamma = sample_gamma(cfg, rng)
-    flags = rng.random(m) < cfg.lam
+    uniforms = rng.random(m)
+    return _corrupt_draws(clean, uniforms, rng.standard_normal(m), sigmas, cfg, gamma)
+
+
+def _corrupt_draws(clean, uniforms, normals, sigmas, cfg: CorruptionConfig, gamma):
+    """The corruption formula on drawn uniforms and standard normals; any
+    batch shape (..., m) with sigmas of shape (m,)."""
+    flags = uniforms < cfg.lam
     if cfg.mode == "outliers":
         stds = np.where(flags, np.sqrt(gamma) * sigmas, sigmas)
-        values = clean + stds * rng.standard_normal(m)
+        values = clean + stds * normals
     else:
-        values = np.where(flags, 0.0, clean + sigmas * rng.standard_normal(m))
+        values = np.where(flags, 0.0, clean + sigmas * normals)
     return values, flags
 
 
@@ -210,20 +220,31 @@ def simulate_trajectory(
     rng: np.random.Generator,
     x0=TRACKING_X0,
 ) -> TrajectoryData:
-    """Propagate the true state with process noise and emit corrupted readings."""
+    """Propagate the true state with process noise and emit corrupted readings.
+
+    The random stream is part of the contract: one sample_gamma draw first,
+    then per step k, in this order, rng.standard_normal(5) for the process
+    noise, rng.random(m) for the corruption flags and rng.standard_normal(m)
+    for the measurement noise.  Identical seeds give identical trajectories,
+    and the generator is left where that sequence ends.  Only the state
+    recursion and the draws run step by step; the readings and their
+    corruption are computed for all steps at once.
+    """
     m = field.meas_dim
+    sigmas = nominal_sigmas(corruption, m)
     q_root = chol_lower(process_noise_cov(turn_cfg), "process cov")
     gamma = sample_gamma(corruption, rng)
     states = np.empty((num_steps, 5))
-    clean = np.empty((num_steps, m))
-    values = np.empty((num_steps, m))
-    flags = np.empty((num_steps, m), dtype=bool)
+    uniforms = np.empty((num_steps, m))
+    normals = np.empty((num_steps, m))
     x = np.asarray(x0, dtype=float)
     for k in range(num_steps):
         x = turn_transition(x, turn_cfg) + q_root @ rng.standard_normal(5)
         states[k] = x
-        clean[k] = clean_measurement(x, field)
-        values[k], flags[k] = corrupt(clean[k], corruption, rng, gamma)
+        rng.random(out=uniforms[k])
+        rng.standard_normal(out=normals[k])
+    clean = clean_measurement(states, field)
+    values, flags = _corrupt_draws(clean, uniforms, normals, sigmas, corruption, gamma)
     return TrajectoryData(
         states=states, clean=clean, measurements=values, flags=flags, gamma=gamma
     )

@@ -8,6 +8,7 @@ anchor id, where an empty cell means no reading at that step.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,7 +66,7 @@ class StepRecord:
 
     def __post_init__(self) -> None:
         truth = np.atleast_1d(np.asarray(self.truth, dtype=float))
-        if truth.shape != (2,) or not np.all(np.isfinite(truth)):
+        if truth.shape != (2,) or not np.isfinite(truth).all():
             raise ValueError("truth must be a finite (x, y) pair")
         ranges = tuple(None if r is None else float(r) for r in self.ranges)
         present = [r for r in ranges if r is not None]
@@ -73,7 +74,7 @@ class StepRecord:
             raise ValueError(
                 f"step {self.step_index}: more than {MAX_ACTIVE_RANGES} range readings"
             )
-        if any(not np.isfinite(r) or r < 0.0 for r in present):
+        if any(not math.isfinite(r) or r < 0.0 for r in present):
             raise ValueError(f"step {self.step_index}: ranges must be finite and >= 0")
         object.__setattr__(self, "truth", truth)
         object.__setattr__(self, "ranges", ranges)
@@ -279,7 +280,15 @@ def make_synthetic_dataset(
     indicator model a permanently missing dimension to reject.  True ranges
     get nominal noise of variance DEFAULT_NOISE_VAR, matching the filter
     model; missing cells stay empty (encoded as 0.0 downstream).
+
+    The random stream is part of the contract: num_anchors rng.random()
+    draws for the anchor heights first, then per step k, in this order, one
+    rng.random() (below 0.2 the step has one reading fewer) and
+    rng.standard_normal(num_anchors) for the range noise.  Identical
+    arguments give identical records.
     """
+    if max_active < 1:
+        raise ValueError("max_active must be >= 1")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     width, depth = 12.0, 8.0
     # anchors spread around the room perimeter, mounted high (2.2 m to 3.0 m)
@@ -301,19 +310,27 @@ def make_synthetic_dataset(
     truth_y = 1.0 + (depth - 2.0) * bounce
     truth = np.column_stack([truth_x, truth_y])
 
-    blocked = num_anchors - 1 if absent_anchor else None
-    steps: list[StepRecord] = []
+    # only the draws run step by step, in the order the docstring states
+    coin = np.empty(num_steps)
+    noise = np.empty((num_steps, num_anchors))
     for k in range(num_steps):
-        tag = np.array([truth[k, 0], truth[k, 1], 0.0])
-        dists = np.linalg.norm(anchors.positions - tag, axis=1)
-        order = [j for j in np.argsort(dists) if j != blocked]
-        # occasionally one fewer reading, as real campaigns show
-        active_count = max_active - int(rng.random() < 0.2)
-        active = set(order[:active_count])
-        noisy = dists + np.sqrt(DEFAULT_NOISE_VAR) * rng.standard_normal(num_anchors)
-        ranges = tuple(
-            max(float(noisy[j]), 0.0) if j in active else None
-            for j in range(num_anchors)
-        )
+        coin[k] = rng.random()
+        rng.standard_normal(out=noise[k])
+
+    tags = np.column_stack([truth, np.zeros(num_steps)])
+    dists = np.linalg.norm(anchors.positions - tags[:, None, :], axis=2)
+    order = np.argsort(dists, axis=1)
+    if absent_anchor:
+        order = order[order != num_anchors - 1].reshape(num_steps, num_anchors - 1)
+    # occasionally one fewer reading, as real campaigns show
+    active_count = max_active - (coin < 0.2)
+    active = np.zeros((num_steps, num_anchors), dtype=bool)
+    ranks = np.arange(order.shape[1])
+    np.put_along_axis(active, order, ranks < active_count[:, None], axis=1)
+    noisy = np.maximum(dists + np.sqrt(DEFAULT_NOISE_VAR) * noise, 0.0)
+
+    steps: list[StepRecord] = []
+    for k, (row, keep) in enumerate(zip(noisy.tolist(), active.tolist())):
+        ranges = tuple(r if a else None for r, a in zip(row, keep))
         steps.append(StepRecord(step_index=k + 1, truth=truth[k], ranges=ranges))
     return anchors, steps

@@ -120,6 +120,7 @@ class TestScenarioConfig:
             ({"steps": 0}, "steps"),
             ({"filters": ("ukf", "ekf")}, "subset"),
             ({"filters": ()}, "subset"),
+            ({"variant": "fast"}, "variant"),
             ({"sweep_axis": "foo", "sweep_values": (1,)}, "sweep_axis"),
             ({"sweep_axis": "lam", "sweep_values": ()}, "non-empty"),
         ],
@@ -429,6 +430,42 @@ class TestCli:
             main(["uwb", "--filters", "sor", "--out", str(tmp_path)])
         assert info.value.code == 2
         assert "--filters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,config,match",
+        [
+            ("simulate", {"filters": ["foo"]}, "filters must be"),
+            ("simulate", {"lam": 0.2, "colour": "red"}, "unknown config keys"),
+            ("uwb", {"variant": "fast"}, "variant must be"),
+            ("bench", {"filters": ["foo"]}, "filters must be"),
+        ],
+    )
+    def test_bad_config_value_exits_two(self, tmp_path, capsys, command, config, match):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(config))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert match in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "uwb", "bench"])
+    def test_bad_flag_value_exits_two(self, tmp_path, capsys, command):
+        code = main([command, "--runs", "0", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error: runs must be >= 1" in capsys.readouterr().err
+
+    def test_uwb_config_refuses_filters(self, tmp_path, capsys):
+        # uwb runs the one filter 'variant' names; a filters key would be ignored
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump({"filters": ["sor"]}))
+        code = main(["uwb", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "'filters'" in err and "'variant'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_uwb_dataset_exit_zero(self, tmp_path, capsys):
         data_dir = _toy_uwb_dir(tmp_path / "data")

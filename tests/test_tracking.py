@@ -12,6 +12,7 @@ from sorfilt import (
     CorruptionConfig,
     SensorField,
     TurnModelConfig,
+    chol_lower,
     clean_measurement,
     corrupt,
     dump_trajectory_csv,
@@ -319,6 +320,92 @@ class TestSimulateTrajectory:
     def test_missing_mode_zeros(self):
         traj = self._run(5, corruption=CorruptionConfig(mode="missing", lam=0.4))
         assert np.all(traj.measurements[traj.flags] == 0.0)
+
+
+def _stepwise_trajectory(turn_cfg, field, corruption, num_steps, rng):
+    """Reference simulation, one step at a time: the state recursion, the
+    clean reading and the corruption formula each run on one vector, with
+    the draws of every step in the documented order."""
+    m = field.meas_dim
+    q_root = chol_lower(process_noise_cov(turn_cfg), "process cov")
+    gamma = sample_gamma(corruption, rng)
+    sigmas = nominal_sigmas(corruption, m)
+    states, clean, values, flags = [], [], [], []
+    x = np.asarray(TRACKING_X0, dtype=float)
+    for _ in range(num_steps):
+        x = turn_transition(x, turn_cfg) + q_root @ rng.standard_normal(5)
+        y = clean_measurement(x, field)
+        hit = rng.random(m) < corruption.lam
+        noise = rng.standard_normal(m)
+        if corruption.mode == "outliers":
+            reading = y + np.where(hit, np.sqrt(gamma) * sigmas, sigmas) * noise
+        else:
+            reading = np.where(hit, 0.0, y + sigmas * noise)
+        states.append(x)
+        clean.append(y)
+        values.append(reading)
+        flags.append(hit)
+    return np.array(states), np.array(clean), np.array(values), np.array(flags), gamma
+
+
+class TestRandomStreams:
+    """The batched simulator draws exactly what the step loop draws, so
+    seeds keep their trajectories and the generator ends where it did."""
+
+    @staticmethod
+    def _rng(seed):
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+    @pytest.mark.parametrize("mode", ["outliers", "missing"])
+    @pytest.mark.parametrize("num_pairs", [3, 50])
+    @pytest.mark.parametrize("gamma_law", [50.0, (100.0, 1000.0)])
+    def test_simulate_trajectory_matches_step_loop(self, mode, num_pairs, gamma_law):
+        turn_cfg = TurnModelConfig()
+        field = SensorField.lattice(num_pairs)
+        corruption = CorruptionConfig(mode=mode, lam=0.3, gamma_law=gamma_law)
+        for seed in (0, 11):
+            rng, ref_rng = self._rng(seed), self._rng(seed)
+            traj = simulate_trajectory(turn_cfg, field, corruption, 120, rng)
+            states, clean, values, flags, gamma = _stepwise_trajectory(
+                turn_cfg, field, corruption, 120, ref_rng
+            )
+            assert np.array_equal(traj.states, states)
+            assert np.array_equal(traj.clean, clean)
+            assert np.array_equal(traj.measurements, values)
+            assert traj.flags.dtype == bool
+            assert np.array_equal(traj.flags, flags)
+            assert traj.gamma == gamma
+            assert np.array_equal(rng.random(4), ref_rng.random(4))
+
+    def test_zero_steps_draws_only_gamma(self):
+        corruption = CorruptionConfig(lam=0.3, gamma_law=(100.0, 1000.0))
+        rng, ref_rng = self._rng(2), self._rng(2)
+        traj = simulate_trajectory(
+            TurnModelConfig(), SensorField.lattice(3), corruption, 0, rng
+        )
+        assert traj.states.shape == (0, 5)
+        assert traj.measurements.shape == traj.flags.shape == (0, 6)
+        assert traj.gamma == sample_gamma(corruption, ref_rng)
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("mode", ["outliers", "missing"])
+    @pytest.mark.parametrize("gamma", [None, 300.0])
+    def test_corrupt_draw_order(self, mode, gamma):
+        cfg = CorruptionConfig(mode=mode, lam=0.5, gamma_law=(100.0, 1000.0))
+        clean = np.array([0.1, -0.2, 0.3, 40.0, 50.0, 60.0])
+        sigmas = nominal_sigmas(cfg, 6)
+        rng, ref_rng = self._rng(8), self._rng(8)
+        values, flags = corrupt(clean, cfg, rng, gamma)
+        g = sample_gamma(cfg, ref_rng) if gamma is None else gamma
+        hit = ref_rng.random(6) < cfg.lam
+        noise = ref_rng.standard_normal(6)
+        if mode == "outliers":
+            expected = clean + np.where(hit, np.sqrt(g) * sigmas, sigmas) * noise
+        else:
+            expected = np.where(hit, 0.0, clean + sigmas * noise)
+        assert np.array_equal(flags, hit)
+        assert np.array_equal(values, expected)
+        assert rng.random() == ref_rng.random()
 
 
 class TestTrackingModel:

@@ -1,5 +1,7 @@
 """UWB dataset ingestion, range model, and localization runs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from sorfilt import (
     validate_model,
     write_dataset,
 )
+from sorfilt.uwb import DEFAULT_NOISE_VAR
 
 
 def _toy_dataset():
@@ -56,6 +59,11 @@ class TestStepRecord:
     def test_rejects_negative_range(self):
         with pytest.raises(ValueError, match=">= 0"):
             StepRecord(1, (0.0, 0.0), (-0.5, None))
+
+    @pytest.mark.parametrize("reading", [math.nan, math.inf, np.float64(-math.inf)])
+    def test_rejects_non_finite_range(self, reading):
+        with pytest.raises(ValueError, match="step 7: ranges must be finite"):
+            StepRecord(7, (0.0, 0.0), (1.0, reading))
 
     def test_rejects_non_finite_truth(self):
         with pytest.raises(ValueError, match="finite"):
@@ -190,6 +198,67 @@ class TestSyntheticDataset:
                     continue
                 true_dist = np.linalg.norm(anchors.positions[j] - tag)
                 assert abs(reading - true_dist) < 2.0  # ~6 sigma of sqrt(0.1)
+
+
+def _stepwise_dataset(seed, num_steps, num_anchors, max_active, absent_anchor):
+    """Reference room, one step at a time: distances, nearest-anchor order,
+    reading count and noisy ranges per step, with each step's draws in the
+    documented order."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    angles = 2.0 * np.pi * np.arange(num_anchors) / num_anchors
+    px = 6.0 + 5.7 * np.cos(angles)
+    py = 4.0 + 3.7 * np.sin(angles)
+    pz = 2.2 + 0.8 * rng.random(num_anchors)
+    positions = np.column_stack([px, py, pz])
+    s = np.arange(num_steps) / 200.0
+    phase = np.mod(s, 2.0)
+    bounce = np.where(phase > 1.0, 2.0 - phase, phase)
+    truth_x = 1.0 + 10.0 * 0.5 * (1.0 - np.cos(2.0 * np.pi * 2.0 * s))
+    truth = np.column_stack([truth_x, 1.0 + 6.0 * bounce])
+    blocked = num_anchors - 1 if absent_anchor else None
+    records = []
+    for k in range(num_steps):
+        tag = np.array([truth[k, 0], truth[k, 1], 0.0])
+        dists = np.linalg.norm(positions - tag, axis=1)
+        order = [j for j in np.argsort(dists) if j != blocked]
+        active = set(order[: max_active - int(rng.random() < 0.2)])
+        noisy = dists + np.sqrt(DEFAULT_NOISE_VAR) * rng.standard_normal(num_anchors)
+        ranges = tuple(
+            max(float(noisy[j]), 0.0) if j in active else None
+            for j in range(num_anchors)
+        )
+        records.append((k + 1, truth[k], ranges))
+    return positions, records
+
+
+class TestSyntheticDatasetStream:
+    """The batched room builder gives the step loop's records exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 29, 4021])
+    @pytest.mark.parametrize("absent_anchor", [True, False])
+    @pytest.mark.parametrize("max_active", [3, 4])
+    def test_matches_step_loop(self, seed, absent_anchor, max_active):
+        anchors, steps = make_synthetic_dataset(
+            seed=seed, num_steps=150, max_active=max_active, absent_anchor=absent_anchor
+        )
+        positions, records = _stepwise_dataset(seed, 150, 11, max_active, absent_anchor)
+        assert np.array_equal(anchors.positions, positions)
+        assert len(steps) == len(records)
+        for record, (index, truth, ranges) in zip(steps, records):
+            assert record.step_index == index
+            assert np.array_equal(record.truth, truth)
+            assert record.ranges == ranges
+            assert all(r is None or type(r) is float for r in record.ranges)
+
+    def test_small_room_matches_step_loop(self):
+        # fewer non-blocked anchors than max_active: every one reports
+        _, steps = make_synthetic_dataset(seed=3, num_steps=40, num_anchors=4)
+        _, records = _stepwise_dataset(3, 40, 4, 4, True)
+        assert [s.ranges for s in steps] == [r for _, _, r in records]
+
+    def test_rejects_max_active_below_one(self):
+        with pytest.raises(ValueError, match="max_active"):
+            make_synthetic_dataset(max_active=0)
 
 
 class TestRunLocalization:
