@@ -120,9 +120,9 @@ class TestScenarioConfig:
             ({"steps": 0}, "steps"),
             ({"filters": ("ukf", "ekf")}, "subset"),
             ({"filters": ()}, "subset"),
-            ({"variant": "fast"}, "variant"),
             ({"sweep_axis": "foo", "sweep_values": (1,)}, "sweep_axis"),
             ({"sweep_axis": "lam", "sweep_values": ()}, "non-empty"),
+            ({"variant": "fast"}, "variant"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -300,6 +300,23 @@ class TestBenchRuntime:
         bench = json.loads((tmp_path / "bench.json").read_text())
         assert bench["m_values"] == [4, 8, 12]
         assert set(bench["slopes"]) == {"sor", "msor"}
+
+    def test_first_run_untimed(self, monkeypatch):
+        calls = []
+
+        def fake(cfg, run_index):
+            m = 2 * cfg.num_pairs
+            # the first call stands in for a cold process: far slower than the rest
+            seconds = 1e3 if not calls else 0.01 * m**2
+            calls.append((m, run_index))
+            outcome = harness.FilterRunOutcome(np.zeros((1, 2)), seconds, np.zeros(1))
+            return None, {"sor": outcome}
+
+        monkeypatch.setattr(harness, "run_tracking_single", fake)
+        report = bench_runtime(m_values=(4, 8, 16), runs=2, filters=("sor",))
+        assert calls == [(4, 0), (4, 0), (4, 1), (8, 0), (8, 1), (16, 0), (16, 1)]
+        assert report.seconds["sor"][0] == pytest.approx([0.16, 0.16])
+        assert report.slopes["sor"] == pytest.approx(2.0, abs=1e-12)
 
     def test_odd_m_rejected(self):
         with pytest.raises(ValueError, match="even"):
