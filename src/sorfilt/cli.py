@@ -59,14 +59,24 @@ def _build_config(args, scenario: str) -> ScenarioConfig:
         raise _ConfigError(str(exc)) from exc
 
 
-def _config_keys(args) -> set[str]:
-    """The keys the --config file sets; none without one."""
+def _config_keys(args, command: str, allowed) -> set[str]:
+    """The keys the --config file sets; none without one.
+
+    A file setting a key outside allowed is refused: command would ignore it.
+    """
     if not args.config:
         return set()
     try:
-        return set(ScenarioConfig.read_yaml(args.config))
+        given = set(ScenarioConfig.read_yaml(args.config))
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
+    ignored = sorted(given - set(allowed))
+    if ignored:
+        raise _ConfigError(
+            f"{command} does not use the keys {ignored}; "
+            f"it reads only {sorted(allowed)}"
+        )
+    return given
 
 
 def _cmd_simulate(args) -> int:
@@ -88,12 +98,17 @@ def _cmd_simulate(args) -> int:
     return 0 if report.ok else 1
 
 
+# every config key uwb reads: run_uwb_experiment runs the one filter
+# 'variant' names on a dataset or the synthetic room, so the tracking keys
+# (filters, steps, lam, ...) would be ignored and a file setting them is refused
+UWB_CONFIG_KEYS = (
+    "dataset", "runs", "seed", "out", "variant", "tag_z",
+    "epsilon", "theta_prior", "tau", "max_iters", "alpha", "beta", "kappa",
+)
+
+
 def _cmd_uwb(args) -> int:
-    if "filters" in _config_keys(args):
-        raise _ConfigError(
-            "uwb does not use the key 'filters'; "
-            "it runs the one filter that 'variant' names"
-        )
+    _config_keys(args, "uwb", UWB_CONFIG_KEYS)
     cfg = _build_config(args, "uwb")
     try:
         report = run_uwb_experiment(cfg)
@@ -113,13 +128,7 @@ BENCH_CONFIG_KEYS = BENCH_KEYS + ("seed", "out")
 
 
 def _cmd_bench(args) -> int:
-    given = _config_keys(args)
-    ignored = sorted(given - set(BENCH_CONFIG_KEYS))
-    if ignored:
-        raise _ConfigError(
-            f"bench does not use the keys {ignored}; "
-            f"it reads only {sorted(BENCH_CONFIG_KEYS)}"
-        )
+    given = _config_keys(args, "bench", BENCH_CONFIG_KEYS)
     cfg = _build_config(args, "tracking")
     m_values = tuple(int(p) for p in args.m.split(","))
     given |= {key for key in BENCH_KEYS if getattr(args, key, None) is not None}

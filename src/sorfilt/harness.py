@@ -372,17 +372,13 @@ def bench_runtime(
     filters=("sor", "msor"),
     out=None,
 ) -> BenchReport:
-    """Runtime-versus-m study on the tracking world (timing excludes simulation).
-
-    One untimed run at the first m goes before the timed ones: the first
-    BLAS-threaded run of a process can take over twice as long, and timed it
-    would inflate that one point and flatten every slope.
-    """
+    """Runtime-versus-m study on the tracking world (timing excludes simulation)."""
     m_values = tuple(int(m) for m in m_values)
-    if any(m % 2 != 0 for m in m_values):
-        raise ValueError("m must be even (bearing/range pairs)")
-    configs = [
-        ScenarioConfig(
+    seconds = {name: np.zeros((len(m_values), runs)) for name in filters}
+    for mi, m in enumerate(m_values):
+        if m % 2 != 0:
+            raise ValueError("m must be even (bearing/range pairs)")
+        cfg = ScenarioConfig(
             scenario="tracking",
             filters=tuple(filters),
             steps=steps,
@@ -393,12 +389,6 @@ def bench_runtime(
             gamma_law=gamma_law,
             num_pairs=m // 2,
         )
-        for m in m_values
-    ]
-    if configs:
-        run_tracking_single(configs[0], 0)
-    seconds = {name: np.zeros((len(m_values), runs)) for name in filters}
-    for mi, cfg in enumerate(configs):
         for run_index in range(runs):
             _, outcomes = run_tracking_single(cfg, run_index)
             for name in filters:

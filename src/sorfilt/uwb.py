@@ -66,7 +66,7 @@ class StepRecord:
 
     def __post_init__(self) -> None:
         truth = np.atleast_1d(np.asarray(self.truth, dtype=float))
-        if truth.shape != (2,) or not np.isfinite(truth).all():
+        if truth.shape != (2,) or not np.all(np.isfinite(truth)):
             raise ValueError("truth must be a finite (x, y) pair")
         ranges = tuple(None if r is None else float(r) for r in self.ranges)
         present = [r for r in ranges if r is not None]

@@ -301,23 +301,6 @@ class TestBenchRuntime:
         assert bench["m_values"] == [4, 8, 12]
         assert set(bench["slopes"]) == {"sor", "msor"}
 
-    def test_first_run_untimed(self, monkeypatch):
-        calls = []
-
-        def fake(cfg, run_index):
-            m = 2 * cfg.num_pairs
-            # the first call stands in for a cold process: far slower than the rest
-            seconds = 1e3 if not calls else 0.01 * m**2
-            calls.append((m, run_index))
-            outcome = harness.FilterRunOutcome(np.zeros((1, 2)), seconds, np.zeros(1))
-            return None, {"sor": outcome}
-
-        monkeypatch.setattr(harness, "run_tracking_single", fake)
-        report = bench_runtime(m_values=(4, 8, 16), runs=2, filters=("sor",))
-        assert calls == [(4, 0), (4, 0), (4, 1), (8, 0), (8, 1), (16, 0), (16, 1)]
-        assert report.seconds["sor"][0] == pytest.approx([0.16, 0.16])
-        assert report.slopes["sor"] == pytest.approx(2.0, abs=1e-12)
-
     def test_odd_m_rejected(self):
         with pytest.raises(ValueError, match="even"):
             bench_runtime(m_values=(3, 6, 9), runs=1, steps=2)
@@ -473,16 +456,41 @@ class TestCli:
         assert code == 2
         assert "config error: runs must be >= 1" in capsys.readouterr().err
 
-    def test_uwb_config_refuses_filters(self, tmp_path, capsys):
-        # uwb runs the one filter 'variant' names; a filters key would be ignored
+    @pytest.mark.parametrize(
+        "config,named",
+        [
+            ({"filters": ["sor"]}, ["'filters'"]),
+            ({"steps": 50, "lam": 0.9, "runs": 1}, ["'lam'", "'steps'"]),
+        ],
+    )
+    def test_uwb_config_refuses_unused_keys(self, tmp_path, capsys, config, named):
+        # uwb runs the one filter 'variant' names on its own room; tracking
+        # keys would be ignored
         path = tmp_path / "scenario.yaml"
-        path.write_text(yaml.safe_dump({"filters": ["sor"]}))
+        path.write_text(yaml.safe_dump(config))
         code = main(["uwb", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
-        assert "'filters'" in err and "'variant'" in err
+        refused, read = err.split("reads only")
+        assert all(key in refused for key in named)
+        assert "'runs'" not in refused and "'variant'" in read
         assert not (tmp_path / "out").exists()
+
+    def test_uwb_config_reads_filter_parameters(self, tmp_path, capsys):
+        data_dir = _toy_uwb_dir(tmp_path / "data")
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump({"variant": "sor", "runs": 1, "tau": 1e-3}))
+        code = main(
+            [
+                "uwb",
+                "--config", str(path),
+                "--dataset", str(data_dir),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["variant"] == "sor"
 
     def test_uwb_dataset_exit_zero(self, tmp_path, capsys):
         data_dir = _toy_uwb_dir(tmp_path / "data")
