@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from .harness import (
     ScenarioConfig,
+    _check_m_values,
     bench_runtime,
     invariant_checks,
     run_sweep,
@@ -34,18 +34,13 @@ class _ConfigError(Exception):
     """A config file or flag value the command cannot run with."""
 
 
-def _build_config(args, scenario: str) -> ScenarioConfig:
+def _build_config(args) -> ScenarioConfig:
     filters = None
     if getattr(args, "filters", None):
         filters = tuple(p.strip() for p in args.filters.split(",") if p.strip())
     try:
-        cfg = (
-            ScenarioConfig.from_yaml(args.config)
-            if args.config
-            else ScenarioConfig(scenario=scenario)
-        )
+        cfg = ScenarioConfig.from_yaml(args.config) if args.config else ScenarioConfig()
         return cfg.with_overrides(
-            scenario=scenario,
             seed=args.seed,
             runs=args.runs,
             out=args.out,
@@ -55,7 +50,7 @@ def _build_config(args, scenario: str) -> ScenarioConfig:
             dataset=getattr(args, "dataset", None),
             steps=getattr(args, "steps", None),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a value of the wrong type
         raise _ConfigError(str(exc)) from exc
 
 
@@ -79,23 +74,35 @@ def _config_keys(args, command: str, allowed) -> set[str]:
     return given
 
 
+# every config key simulate reads: all but the uwb-only ones, which the
+# tracking sweep would ignore, so a file setting them is refused
+SIMULATE_CONFIG_KEYS = tuple(
+    f.name
+    for f in dataclasses.fields(ScenarioConfig)
+    if f.name not in ("dataset", "variant", "tag_z")
+)
+
+
 def _cmd_simulate(args) -> int:
-    cfg = _build_config(args, "tracking")
-    report = run_sweep(cfg)
-    for point in report.points:
-        label = "" if report.sweep_axis is None else (
-            f"{report.sweep_axis}={point.axis_value} "
-        )
-        for name, rep in point.filters.items():
+    _config_keys(args, "simulate", SIMULATE_CONFIG_KEYS)
+    cfg = _build_config(args)
+    summary = run_sweep(cfg)
+    axis = summary["sweep_axis"]
+    for point in summary["points"]:
+        label = "" if axis is None else f"{axis}={point['value']} "
+        for name, stats in point["filters"].items():
             print(
-                f"{label}{name}: rmse={rep.rmse_aggregate:.4f} "
-                f"median_run={float(np.median(rep.rmse_per_run)):.4f} "
-                f"mean_iters={rep.iterations_mean:.2f}"
+                f"{label}{name}: rmse={stats['rmse_aggregate']:.4f} "
+                f"median_run={stats['rmse_median']:.4f} "
+                f"mean_iters={stats['iterations_mean']:.2f}"
             )
-    for value, run_index, message in report.failures:
-        print(f"FAILED value={value} run={run_index}: {message}", file=sys.stderr)
+    for failure in summary["failures"]:
+        print(
+            f"FAILED value={failure['value']} run={failure['run']}: {failure['error']}",
+            file=sys.stderr,
+        )
     print(f"reports written to {cfg.out}")
-    return 0 if report.ok else 1
+    return 1 if summary["failures"] else 0
 
 
 # every config key uwb reads: run_uwb_experiment runs the one filter
@@ -109,7 +116,7 @@ UWB_CONFIG_KEYS = (
 
 def _cmd_uwb(args) -> int:
     _config_keys(args, "uwb", UWB_CONFIG_KEYS)
-    cfg = _build_config(args, "uwb")
+    cfg = _build_config(args)
     try:
         report = run_uwb_experiment(cfg)
     except DatasetError as exc:
@@ -129,8 +136,11 @@ BENCH_CONFIG_KEYS = BENCH_KEYS + ("seed", "out")
 
 def _cmd_bench(args) -> int:
     given = _config_keys(args, "bench", BENCH_CONFIG_KEYS)
-    cfg = _build_config(args, "tracking")
-    m_values = tuple(int(p) for p in args.m.split(","))
+    cfg = _build_config(args)
+    try:
+        m_values = _check_m_values(args.m.split(","))
+    except ValueError as exc:
+        raise _ConfigError(f"--m {args.m}: {exc}") from exc
     given |= {key for key in BENCH_KEYS if getattr(args, key, None) is not None}
     chosen = {key: getattr(cfg, key) for key in BENCH_KEYS if key in given}
     report = bench_runtime(m_values=m_values, seed=cfg.seed, out=cfg.out, **chosen)

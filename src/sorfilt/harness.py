@@ -6,8 +6,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +43,13 @@ SWEEP_AXES = ("lam", "gamma")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Declarative experiment definition; YAML-loadable, CLI-overridable."""
+    """Declarative experiment definition; YAML-loadable, CLI-overridable.
 
-    scenario: str = "tracking"  # tracking | uwb
+    Construction builds and checks the indicator, unscented-transform, turn
+    model and corruption configs once, so a bad value fails here, before any
+    run.
+    """
+
     filters: tuple[str, ...] = FILTER_NAMES
     steps: int = 1000
     runs: int = 100
@@ -79,12 +84,12 @@ class ScenarioConfig:
     tag_z: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.scenario not in ("tracking", "uwb"):
-            raise ValueError("scenario must be 'tracking' or 'uwb'")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        for name, low in (("runs", 1), ("steps", 1), ("num_pairs", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
         filters = tuple(self.filters)
         unknown = set(filters) - set(FILTER_NAMES)
         if not filters or unknown:
@@ -100,6 +105,32 @@ class ScenarioConfig:
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         if isinstance(self.gamma_law, list):
             object.__setattr__(self, "gamma_law", tuple(self.gamma_law))
+        # not fields, so equality, repr and read_yaml ignore them
+        indicator = IndicatorConfig(
+            epsilon=self.epsilon,
+            theta_prior=self.theta_prior,
+            tau=self.tau,
+            max_iters=self.max_iters,
+        )
+        object.__setattr__(self, "_indicator", indicator)
+        object.__setattr__(
+            self, "_ut", UTParams(alpha=self.alpha, beta=self.beta, kappa=self.kappa)
+        )
+        object.__setattr__(
+            self, "_turn", TurnModelConfig(dt=self.dt, eta1=self.eta1, eta2=self.eta2)
+        )
+        corruption = CorruptionConfig(
+            mode=self.mode,
+            lam=self.lam,
+            gamma_law=self.gamma_law,
+            sigma_theta=self.sigma_theta,
+            sigma_rho=self.sigma_rho,
+        )
+        object.__setattr__(self, "_corruption", corruption)
+        # a sweep point's corruption fails here too, not in each of its runs
+        key = "lam" if self.sweep_axis == "lam" else "gamma_law"
+        for value in self.sweep_values if self.sweep_axis else ():
+            dataclasses.replace(corruption, **{key: float(value)})
 
     @classmethod
     def read_yaml(cls, path) -> dict:
@@ -122,18 +153,13 @@ class ScenarioConfig:
         return dataclasses.replace(self, **updates) if updates else self
 
     def indicator_config(self) -> IndicatorConfig:
-        return IndicatorConfig(
-            epsilon=self.epsilon,
-            theta_prior=self.theta_prior,
-            tau=self.tau,
-            max_iters=self.max_iters,
-        )
+        return self._indicator
 
     def ut_params(self) -> UTParams:
-        return UTParams(alpha=self.alpha, beta=self.beta, kappa=self.kappa)
+        return self._ut
 
     def turn_config(self) -> TurnModelConfig:
-        return TurnModelConfig(dt=self.dt, eta1=self.eta1, eta2=self.eta2)
+        return self._turn
 
 
 def rmse_pos(estimates, truths) -> tuple[np.ndarray, float]:
@@ -193,13 +219,13 @@ def run_tracking_single(
     rng = run_rng(cfg.seed, run_index)
     sensor_field = SensorField.lattice(cfg.num_pairs)
     turn_cfg = cfg.turn_config()
-    corruption = CorruptionConfig(
-        mode=cfg.mode,
-        lam=cfg.lam if lam is None else lam,
-        gamma_law=cfg.gamma_law if gamma_law is None else gamma_law,
-        sigma_theta=cfg.sigma_theta,
-        sigma_rho=cfg.sigma_rho,
-    )
+    corruption = cfg._corruption
+    if lam is not None or gamma_law is not None:
+        corruption = dataclasses.replace(
+            corruption,
+            lam=cfg.lam if lam is None else lam,
+            gamma_law=cfg.gamma_law if gamma_law is None else gamma_law,
+        )
     traj = simulate_trajectory(turn_cfg, sensor_field, corruption, cfg.steps, rng)
     model = make_tracking_model(sensor_field, turn_cfg, cfg.sigma_theta, cfg.sigma_rho)
     p0 = 100.0 * process_noise_cov(turn_cfg)
@@ -220,51 +246,19 @@ def run_tracking_single(
     return traj.positions, outcomes
 
 
-@dataclass(frozen=True)
-class FilterReport:
-    rmse_per_step: np.ndarray  # (K,)
-    rmse_aggregate: float
-    rmse_per_run: np.ndarray  # (successful runs,)
-    seconds_per_run: np.ndarray
-    iterations_mean: float
-    iterations_max: int
-
-
-@dataclass(frozen=True)
-class SweepPointReport:
-    axis_value: object
-    filters: dict[str, FilterReport]
-
-
-@dataclass(frozen=True)
-class RunReport:
-    sweep_axis: str | None
-    points: list[SweepPointReport]
-    failures: list[tuple[object, int, str]]  # (axis value, run index, message)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def run_sweep(cfg: ScenarioConfig) -> RunReport:
-    """Execute the configured tracking sweep and write CSV + JSON reports.
+def run_sweep(cfg: ScenarioConfig) -> dict:
+    """Execute the configured tracking sweep, write CSV + JSON reports, and
+    return the summary that summary.json holds.
 
     Each sweep point gets one CSV (filter, step, rmse).  Run failures are
     recorded per seed and do not abort the sweep.  CSV bodies depend only on
     config and seeds; wall-clock metadata lives in summary.json.
     """
-    if cfg.scenario != "tracking":
-        raise ValueError("run_sweep drives the tracking scenario")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     axis = cfg.sweep_axis
-    values = list(cfg.sweep_values) if axis else [None]
-
-    points: list[SweepPointReport] = []
-    failures: list[tuple[object, int, str]] = []
-    summary_points = []
-    for value in values:
+    points, failures = [], []
+    for value in cfg.sweep_values if axis else (None,):
         lam = float(value) if axis == "lam" else None
         gamma_law = float(value) if axis == "gamma" else None
         truths, per_filter = [], {name: [] for name in cfg.filters}
@@ -272,70 +266,53 @@ def run_sweep(cfg: ScenarioConfig) -> RunReport:
             try:
                 truth, outcomes = run_tracking_single(cfg, run_index, lam, gamma_law)
             except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
-                failures.append((value, run_index, f"{type(exc).__name__}: {exc}"))
+                error = f"{type(exc).__name__}: {exc}"
+                failures.append({"value": value, "run": run_index, "error": error})
                 continue
             truths.append(truth)
             for name, outcome in outcomes.items():
                 per_filter[name].append(outcome)
 
-        filter_reports: dict[str, FilterReport] = {}
+        rmse_per_step, stats = {}, {}
         if truths:
             truth_stack = np.stack(truths)
             for name, runs in per_filter.items():
                 est_stack = np.stack([o.estimates for o in runs])
-                per_step, aggregate = rmse_pos(est_stack, truth_stack)
+                rmse_per_step[name], aggregate = rmse_pos(est_stack, truth_stack)
+                per_run = rmse_pos_per_run(est_stack, truth_stack)
                 iters = np.concatenate([o.iterations for o in runs])
-                filter_reports[name] = FilterReport(
-                    rmse_per_step=per_step,
-                    rmse_aggregate=aggregate,
-                    rmse_per_run=rmse_pos_per_run(est_stack, truth_stack),
-                    seconds_per_run=np.array([o.seconds for o in runs]),
-                    iterations_mean=float(iters.mean()),
-                    iterations_max=int(iters.max()),
-                )
-        points.append(SweepPointReport(axis_value=value, filters=filter_reports))
+                stats[name] = {
+                    "rmse_aggregate": aggregate,
+                    "rmse_per_run": [float(v) for v in per_run],
+                    "rmse_median": float(np.median(per_run)),
+                    "seconds_mean": float(np.mean([o.seconds for o in runs])),
+                    "iterations_mean": float(iters.mean()),
+                    "iterations_max": int(iters.max()),
+                }
+        points.append({"value": value, "filters": stats})
 
         label = "run" if axis is None else f"sweep_{axis}_{value}"
         with (out_dir / f"{label}.csv").open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["filter", "step", "rmse"])
-            for name, rep in filter_reports.items():
-                for step, rmse in enumerate(rep.rmse_per_step, 1):
+            for name, per_step in rmse_per_step.items():
+                for step, rmse in enumerate(per_step, 1):
                     writer.writerow([name, step, repr(float(rmse))])
 
-        summary_points.append(
-            {
-                "value": value,
-                "filters": {
-                    name: {
-                        "rmse_aggregate": rep.rmse_aggregate,
-                        "rmse_per_run": [float(v) for v in rep.rmse_per_run],
-                        "rmse_median": float(np.median(rep.rmse_per_run)),
-                        "seconds_mean": float(rep.seconds_per_run.mean()),
-                        "iterations_mean": rep.iterations_mean,
-                        "iterations_max": rep.iterations_max,
-                    }
-                    for name, rep in filter_reports.items()
-                },
-            }
-        )
-
     summary = {
-        "scenario": cfg.scenario,
+        "scenario": "tracking",
         "sweep_axis": axis,
         "filters": list(cfg.filters),
         "runs": cfg.runs,
         "steps": cfg.steps,
         "seed": cfg.seed,
         "mode": cfg.mode,
-        "points": summary_points,
-        "failures": [
-            {"value": v, "run": r, "error": msg} for v, r, msg in failures
-        ],
+        "points": points,
+        "failures": failures,
         "generated_unix": time.time(),
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
-    return RunReport(sweep_axis=axis, points=points, failures=failures)
+    return summary
 
 
 def complexity_fit(m_values, runtimes) -> float:
@@ -353,6 +330,20 @@ def complexity_fit(m_values, runtimes) -> float:
     if np.any(m_arr <= 0.0) or np.any(t_arr <= 0.0):
         raise ValueError("m and runtimes must be positive for a log-log fit")
     return float(np.polyfit(np.log(m_arr), np.log(t_arr), 1)[0])
+
+
+def _check_m_values(m_values) -> tuple[int, ...]:
+    """bench_runtime's m values as ints: at least 3, each even and positive."""
+    try:
+        m_values = tuple(int(m) for m in m_values)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"m values must be integers: {exc}") from exc
+    if len(m_values) < 3:
+        raise ValueError("the log-log fit needs at least 3 m values")
+    odd = [m for m in m_values if m < 2 or m % 2]
+    if odd:
+        raise ValueError(f"m must be even and positive (bearing/range pairs): {odd}")
+    return m_values
 
 
 @dataclass(frozen=True)
@@ -373,13 +364,10 @@ def bench_runtime(
     out=None,
 ) -> BenchReport:
     """Runtime-versus-m study on the tracking world (timing excludes simulation)."""
-    m_values = tuple(int(m) for m in m_values)
+    m_values = _check_m_values(m_values)
     seconds = {name: np.zeros((len(m_values), runs)) for name in filters}
     for mi, m in enumerate(m_values):
-        if m % 2 != 0:
-            raise ValueError("m must be even (bearing/range pairs)")
         cfg = ScenarioConfig(
-            scenario="tracking",
             filters=tuple(filters),
             steps=steps,
             runs=runs,

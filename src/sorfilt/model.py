@@ -158,7 +158,9 @@ class NonlinearSSM:
     vectorized=True they must also accept a (batch, dim) array and return
     the mapped batch; this only affects speed, never results.
     angular_mask flags measurement dimensions that live on the circle, so
-    downstream residuals are wrapped to (-pi, pi].
+    downstream residuals are wrapped to (-pi, pi].  Construction refuses a
+    process_cov that is not (n, n), or a meas_var_diag or angular_mask that
+    is not (m,); validate_model checks their values.
     """
 
     state_dim: int
@@ -171,16 +173,17 @@ class NonlinearSSM:
     vectorized: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "process_cov", _frozen_array(np.atleast_2d(self.process_cov))
-        )
-        object.__setattr__(
-            self, "meas_var_diag", _frozen_array(np.atleast_1d(self.meas_var_diag))
-        )
+        n, m = self.state_dim, self.meas_dim
+        arrays = {
+            "process_cov": (_frozen_array(np.atleast_2d(self.process_cov)), (n, n)),
+            "meas_var_diag": (_frozen_array(np.atleast_1d(self.meas_var_diag)), (m,)),
+        }
         if self.angular_mask is not None:
-            object.__setattr__(
-                self, "angular_mask", _frozen_array(self.angular_mask, dtype=bool)
-            )
+            arrays["angular_mask"] = (_frozen_array(self.angular_mask, dtype=bool), (m,))
+        for name, (arr, shape) in arrays.items():
+            if arr.shape != shape:
+                raise ValueError(f"{name} shape {arr.shape} does not match {shape}")
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -220,30 +223,16 @@ def validate_model(model: NonlinearSSM) -> ValidationReport:
     if m < 1:
         issues.append("meas_dim must be >= 1")
 
-    if model.process_cov.shape != (n, n):
-        issues.append(
-            f"process_cov dimension mismatch: expected ({n}, {n}), "
-            f"got {model.process_cov.shape}"
-        )
-    else:
-        q = model.process_cov
-        if not _is_symmetric(q):
-            issues.append("process_cov must be symmetric")
-        elif np.linalg.eigvalsh(symmetrize(q)).min() < -1e-10 * max(
-            1.0, np.abs(q).max(initial=0.0)
-        ):
-            issues.append("process_cov must be positive semidefinite")
-
-    if model.meas_var_diag.shape != (m,):
-        issues.append(
-            f"meas_var_diag length mismatch: expected {m}, "
-            f"got {model.meas_var_diag.shape[0]}"
-        )
+    # shapes are checked on construction
+    q = model.process_cov
+    if not _is_symmetric(q):
+        issues.append("process_cov must be symmetric")
+    elif np.linalg.eigvalsh(symmetrize(q)).min(initial=0.0) < -1e-10 * max(
+        1.0, np.abs(q).max(initial=0.0)
+    ):
+        issues.append("process_cov must be positive semidefinite")
     if not np.all(model.meas_var_diag > 0.0):
         issues.append("meas_var_diag must be strictly positive")
-
-    if model.angular_mask is not None and model.angular_mask.shape != (m,):
-        issues.append(f"angular_mask length mismatch: expected {m}")
 
     if n >= 1 and not issues[:1]:
         for name, fn, out_dim in (

@@ -165,6 +165,38 @@ def _joint_factor(
     )
 
 
+def _step_update(
+    model: NonlinearSSM, prediction: GaussianBelief, params: UTParams, variant
+):
+    """The step's measurement update as a function (y, vinv) -> (update,
+    mu_post, udiag_post).
+
+    The joint factor (serial) or the predicted measurement (parallel) is
+    built once, here, and every call conditions it on y with precisions
+    vinv.  A serial update is a SerialUpdateResult with its conditioned
+    measurement moments; a parallel one is a GaussianBelief with two Nones.
+    """
+    _check_variant(variant)
+    mask = model.angular_mask
+    if variant == "serial":
+        factor = _joint_factor(model, prediction, params)
+
+        def update(y, vinv):
+            res = serial_conditioning(factor, y, vinv, mask)
+            return res, res.mu_post, res.udiag_post
+
+        return update
+    predmeas = predict_measurement(model, prediction, params)
+    return lambda y, vinv: (
+        update_parallel(prediction, predmeas, y, vinv, mask), None, None
+    )
+
+
+def _posterior(update) -> GaussianBelief:
+    """The checked posterior belief of an update from _step_update."""
+    return update.posterior if isinstance(update, SerialUpdateResult) else update
+
+
 def sor_step(
     model: NonlinearSSM,
     prediction: GaussianBelief,
@@ -189,101 +221,63 @@ def sor_step(
 
     Inputs are validated by the public functions called here; what the loop
     builds itself is not re-validated.  A serial update's covariance is
-    checked once, on the final iteration's result, and a failure there names
-    that VB iteration like a failed update does.
+    checked once, on the final iteration's result.  A FilterNumericsError
+    raised from the first update on names its VB iteration: 0 for the first
+    update, l for the work of iteration l, including the final covariance
+    check.
 
     force_indicators short-circuits the loop with a fixed expected-indicator
     vector of shape (m,) with entries in [0, 1]; all ones reproduces the
     plain Gaussian-filter update through the identical code path.
     """
-    _check_variant(variant)
+    step_update = _step_update(model, prediction, params, variant)
     m = model.meas_dim
     r_diag = model.meas_var_diag
     mask = model.angular_mask
     yv = y.values if isinstance(y, Measurement) else np.atleast_1d(np.asarray(y, float))
 
-    serial = variant == "serial"
-    if serial:
-        factor = _joint_factor(model, prediction, params)
-    else:
-        predmeas = predict_measurement(model, prediction, params)
-
-    def failed_at(iteration, exc):
-        return FilterNumericsError(
-            f"measurement update failed at VB iteration {iteration}: {exc}"
-        )
-
-    def run_update(vinv, iteration):
-        """(update, mu_post, udiag_post): a SerialUpdateResult with its
-        conditioned measurement moments, or a GaussianBelief and Nones."""
-        try:
-            if serial:
-                res = serial_conditioning(factor, yv, vinv, mask)
-                return res, res.mu_post, res.udiag_post
-            belief = update_parallel(prediction, predmeas, yv, vinv, mask)
-            return belief, None, None
-        except FilterNumericsError as exc:
-            raise failed_at(iteration, exc) from exc
-
-    def posterior_of(update, iteration) -> GaussianBelief:
-        if not serial:
-            return update
-        try:
-            return update.posterior
-        except FilterNumericsError as exc:
-            raise failed_at(iteration, exc) from exc
-
-    if force_indicators is not None:
-        forced = np.atleast_1d(np.asarray(force_indicators, dtype=float))
-        if forced.shape != (m,):
+    forced = force_indicators is not None
+    if forced:
+        omega = np.atleast_1d(np.asarray(force_indicators, dtype=float))
+        if omega.shape != (m,):
             raise ValueError(
-                f"force_indicators shape {forced.shape} does not match ({m},)"
+                f"force_indicators shape {omega.shape} does not match ({m},)"
             )
         # NaN fails both comparisons
-        if not (forced.min() >= 0.0 and forced.max() <= 1.0):
+        if not (omega.min() >= 0.0 and omega.max() <= 1.0):
             raise ValueError("force_indicators entries must lie in [0, 1]")
-        update, _, _ = run_update(forced / r_diag, 0)
-        return SorStepResult(
-            posterior=posterior_of(update, 0),
-            indicators=IndicatorBelief(forced),
-            iterations=0,
-            converged=True,
-        )
+    else:
+        omega = np.ones(m)
+        thetas = cfg.thetas(m)
 
-    thetas = cfg.thetas(m)
-    update, mu_pp, udiag_pp = run_update(1.0 / r_diag, 0)
+    iteration = 0
+    converged = forced
+    try:
+        update, mu_pp, udiag_pp = step_update(yv, omega / r_diag)
+        while not converged and iteration < cfg.max_iters:
+            iteration += 1
+            if mu_pp is None:
+                mu_pp, udiag_pp = posterior_predictive_meas(model, update, params)
+            resid = innovation(yv, mu_pp, mask)
+            omega = omega_update(resid**2 + udiag_pp, r_diag, thetas, cfg.epsilon)
+            prev_mean = update.mean
+            update, mu_pp, udiag_pp = step_update(
+                yv, _expected_indicator(omega, cfg.epsilon) / r_diag
+            )
 
-    omega = np.ones(m)
-    iterations = 0
-    converged = False
-    for l in range(1, cfg.max_iters + 1):
-        if mu_pp is None:
-            mu_pp, udiag_pp = posterior_predictive_meas(model, update, params)
-        resid = innovation(yv, mu_pp, mask)
-        w = resid**2 + udiag_pp
-        omega = omega_update(w, r_diag, thetas, cfg.epsilon)
-        vinv = _expected_indicator(omega, cfg.epsilon) / r_diag
-
-        prev_mean = update.mean
-        update, mu_pp, udiag_pp = run_update(vinv, l)
-        iterations = l
-
-        # 2-norms as np.linalg.norm computes them for a float vector
-        change = update.mean - prev_mean
-        denom = math.sqrt(prev_mean.dot(prev_mean))
-        delta = math.sqrt(change.dot(change))
-        if denom >= DELTA_DENOM_FLOOR:
-            delta /= denom
-        if delta <= cfg.tau:
-            converged = True
-            break
-
-    return SorStepResult(
-        posterior=posterior_of(update, iterations),
-        indicators=IndicatorBelief(omega),
-        iterations=iterations,
-        converged=converged,
-    )
+            # 2-norms as np.linalg.norm computes them for a float vector
+            change = update.mean - prev_mean
+            denom = math.sqrt(prev_mean.dot(prev_mean))
+            delta = math.sqrt(change.dot(change))
+            if denom >= DELTA_DENOM_FLOOR:
+                delta /= denom
+            converged = delta <= cfg.tau
+        posterior = _posterior(update)
+    except FilterNumericsError as exc:
+        raise FilterNumericsError(
+            f"measurement update failed at VB iteration {iteration}: {exc}"
+        ) from exc
+    return SorStepResult(posterior, IndicatorBelief(omega), iteration, converged)
 
 
 def ukf_step(
@@ -294,14 +288,9 @@ def ukf_step(
     variant: Variant = "parallel",
 ) -> GaussianBelief:
     """Plain (non-robust) Gaussian-filter update with noise R."""
-    _check_variant(variant)
-    mask = model.angular_mask
-    vinv = 1.0 / model.meas_var_diag
-    if variant == "serial":
-        factor = _joint_factor(model, prediction, params)
-        return serial_conditioning(factor, y, vinv, mask).posterior
-    predmeas = predict_measurement(model, prediction, params)
-    return update_parallel(prediction, predmeas, y, vinv, mask)
+    step_update = _step_update(model, prediction, params, variant)
+    update, _, _ = step_update(y, 1.0 / model.meas_var_diag)
+    return _posterior(update)
 
 
 def _drive(model, init, measurements, params, step) -> list:

@@ -104,7 +104,6 @@ class TestComplexityFit:
 class TestScenarioConfig:
     def test_defaults(self):
         cfg = ScenarioConfig()
-        assert cfg.scenario == "tracking"
         assert cfg.filters == ("ukf", "sor", "msor")
         assert cfg.steps == 1000
         assert cfg.runs == 100
@@ -115,7 +114,7 @@ class TestScenarioConfig:
     @pytest.mark.parametrize(
         "kwargs,match",
         [
-            ({"scenario": "other"}, "scenario"),
+            ({"num_pairs": 0}, "num_pairs"),
             ({"runs": 0}, "runs"),
             ({"steps": 0}, "steps"),
             ({"filters": ("ukf", "ekf")}, "subset"),
@@ -123,6 +122,18 @@ class TestScenarioConfig:
             ({"sweep_axis": "foo", "sweep_values": (1,)}, "sweep_axis"),
             ({"sweep_axis": "lam", "sweep_values": ()}, "non-empty"),
             ({"variant": "fast"}, "variant"),
+            ({"sweep_axis": "lam", "sweep_values": (0.1, 1.5)}, "lam must"),
+            ({"sweep_axis": "gamma", "sweep_values": (0.5,)}, "gamma must"),
+            ({"steps": 2.5}, "steps must be an integer"),
+            ({"runs": 1.5}, "runs must be an integer"),
+            ({"seed": -1}, "seed must be >= 0"),
+            # the indicator, UT, turn-model and corruption configs it builds
+            ({"epsilon": 2.0}, "epsilon"),
+            ({"tau": 0.0}, "tau"),
+            ({"alpha": 0.0}, "alpha"),
+            ({"dt": -1.0}, "dt"),
+            ({"mode": "both"}, "mode"),
+            ({"lam": 1.5}, "lam"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -134,7 +145,6 @@ class TestScenarioConfig:
         path.write_text(
             yaml.safe_dump(
                 {
-                    "scenario": "tracking",
                     "steps": 12,
                     "runs": 2,
                     "lam": 0.1,
@@ -184,6 +194,9 @@ class TestScenarioConfig:
         turn = cfg.turn_config()
         assert turn.dt == 2.0
         assert turn.eta1 == 0.1
+        # built once, at construction, and shared by every run
+        assert cfg.indicator_config() is icfg and cfg.turn_config() is turn
+        assert cfg.ut_params() is cfg.ut_params()
 
 
 class TestRunTrackingSingle:
@@ -222,38 +235,36 @@ class TestRunSweep:
 
     def test_single_point_outputs(self, tmp_path):
         cfg = self._small_cfg(tmp_path)
-        report = run_sweep(cfg)
-        assert report.ok
-        assert len(report.points) == 1
+        summary = run_sweep(cfg)
+        assert summary["failures"] == []
+        assert len(summary["points"]) == 1
         csv_path = tmp_path / "run.csv"
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "filter,step,rmse"
         assert len(lines) == 1 + 2 * 10
         assert lines[1].startswith("ukf,1,")
-        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert json.loads((tmp_path / "summary.json").read_text()) == summary
+        assert summary["scenario"] == "tracking"
         assert summary["runs"] == 2
-        assert summary["failures"] == []
         point = summary["points"][0]
         assert set(point["filters"]) == {"ukf", "msor"}
         stats = point["filters"]["msor"]
-        assert stats["rmse_aggregate"] == pytest.approx(
-            report.points[0].filters["msor"].rmse_aggregate
-        )
         assert len(stats["rmse_per_run"]) == 2
+        assert stats["rmse_median"] == float(np.median(stats["rmse_per_run"]))
 
     def test_sweep_axis_files(self, tmp_path):
         cfg = self._small_cfg(
             tmp_path, filters=("ukf",), sweep_axis="lam", sweep_values=(0.0, 0.5)
         )
-        report = run_sweep(cfg)
-        assert [p.axis_value for p in report.points] == [0.0, 0.5]
+        summary = run_sweep(cfg)
+        assert [p["value"] for p in summary["points"]] == [0.0, 0.5]
         assert (tmp_path / "sweep_lam_0.0.csv").exists()
         assert (tmp_path / "sweep_lam_0.5.csv").exists()
 
     def test_csv_bodies_deterministic(self, tmp_path):
         first = run_sweep(self._small_cfg(tmp_path / "a"))
         second = run_sweep(self._small_cfg(tmp_path / "b"))
-        assert first.ok and second.ok
+        assert first["failures"] == second["failures"] == []
         body_a = (tmp_path / "a" / "run.csv").read_text()
         body_b = (tmp_path / "b" / "run.csv").read_text()
         assert body_a == body_b
@@ -268,19 +279,12 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "run_tracking_single", flaky)
         cfg = self._small_cfg(tmp_path, runs=3, filters=("ukf",))
-        report = run_sweep(cfg)
-        assert not report.ok
-        assert report.failures == [(None, 1, "RuntimeError: synthetic fault")]
-        assert len(report.points[0].filters["ukf"].rmse_per_run) == 2
-        summary = json.loads((tmp_path / "summary.json").read_text())
+        summary = run_sweep(cfg)
         assert summary["failures"] == [
             {"value": None, "run": 1, "error": "RuntimeError: synthetic fault"}
         ]
-
-    def test_rejects_uwb_scenario(self, tmp_path):
-        cfg = ScenarioConfig(scenario="uwb", out=str(tmp_path))
-        with pytest.raises(ValueError, match="tracking"):
-            run_sweep(cfg)
+        assert len(summary["points"][0]["filters"]["ukf"]["rmse_per_run"]) == 2
+        assert json.loads((tmp_path / "summary.json").read_text()) == summary
 
 
 class TestBenchRuntime:
@@ -305,6 +309,19 @@ class TestBenchRuntime:
         with pytest.raises(ValueError, match="even"):
             bench_runtime(m_values=(3, 6, 9), runs=1, steps=2)
 
+    @pytest.mark.parametrize(
+        "m_values,match",
+        [((4, 8, 9), "even"), ((4, 8, 0), "even"), ((4, 8), "at least 3")],
+    )
+    def test_m_values_checked_before_the_first_run(
+        self, monkeypatch, m_values, match
+    ):
+        calls = []
+        monkeypatch.setattr(harness, "run_tracking_single", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=match):
+            bench_runtime(m_values=m_values, runs=1, steps=2)
+        assert calls == []
+
 
 def _toy_uwb_dir(tmp_path):
     anchors = AnchorSet(
@@ -322,9 +339,7 @@ def _toy_uwb_dir(tmp_path):
 
 class TestRunUwbExperiment:
     def test_synthetic_report(self, tmp_path):
-        cfg = ScenarioConfig(
-            scenario="uwb", runs=1, seed=0, out=str(tmp_path), variant="msor"
-        )
+        cfg = ScenarioConfig(runs=1, seed=0, out=str(tmp_path), variant="msor")
         report = run_uwb_experiment(cfg)
         assert report["scenario"] == "synthetic"
         assert report["variant"] == "msor"
@@ -336,7 +351,6 @@ class TestRunUwbExperiment:
     def test_dataset_report(self, tmp_path):
         data_dir = _toy_uwb_dir(tmp_path / "data")
         cfg = ScenarioConfig(
-            scenario="uwb",
             runs=2,
             seed=0,
             out=str(tmp_path / "out"),
@@ -438,6 +452,15 @@ class TestCli:
             ("simulate", {"lam": 0.2, "colour": "red"}, "unknown config keys"),
             ("uwb", {"variant": "fast"}, "variant must be"),
             ("bench", {"filters": ["foo"]}, "filters must be"),
+            ("simulate", {"steps": None}, "steps must be an integer"),
+            ("uwb", {"epsilon": "abc"}, "not supported"),
+            ("simulate", {"scenario": "uwb"}, "unknown config keys ['scenario']"),
+            ("simulate", {"epsilon": 0.0}, "epsilon"),
+            ("simulate", {"dt": 0.0}, "dt"),
+            ("simulate", {"mode": "both"}, "mode"),
+            ("simulate", {"alpha": 2.0}, "alpha"),
+            ("simulate", {"num_pairs": 0}, "num_pairs"),
+            ("uwb", {"tau": -1.0}, "tau"),
         ],
     )
     def test_bad_config_value_exits_two(self, tmp_path, capsys, command, config, match):
@@ -448,6 +471,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert match in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config,named",
+        [
+            ({"variant": "sor"}, ["'variant'"]),
+            (
+                {"steps": 10, "tag_z": 3.0, "dataset": "/nonexistent"},
+                ["'dataset'", "'tag_z'"],
+            ),
+        ],
+    )
+    def test_simulate_config_refuses_uwb_keys(self, tmp_path, capsys, config, named):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(config))
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: simulate does not use")
+        refused, read = err.split("reads only")
+        assert all(key in refused for key in named)
+        assert "'steps'" not in refused and "'lam'" in read
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "m,match",
+        [("3,5,7", "even"), ("4,x", "integers"), ("4,8", "at least 3")],
+    )
+    def test_bench_bad_m_exits_two(self, tmp_path, capsys, monkeypatch, m, match):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_tracking_single", no_run)
+        code = main(["bench", "--m", m, "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --m {m}: ") and match in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "uwb", "bench"])
@@ -537,13 +597,13 @@ class TestBenchConfig:
             bound = signature.bind(**kwargs)
             bound.apply_defaults()
             calls.append(bound.arguments)
-            return harness.BenchReport(m_values=(4,), seconds={}, slopes={})
+            return harness.BenchReport(m_values=(4, 8, 12), seconds={}, slopes={})
 
         monkeypatch.setattr(sorfilt.cli, "bench_runtime", fake)
         return calls
 
     def _run(self, tmp_path, config, *flags):
-        argv = ["bench", "--m", "4", "--out", str(tmp_path / "out"), *flags]
+        argv = ["bench", "--m", "4,8,12", "--out", str(tmp_path / "out"), *flags]
         if config is not None:
             path = tmp_path / "bench.yaml"
             path.write_text(yaml.safe_dump(config))
@@ -588,7 +648,9 @@ class TestBenchConfig:
     def test_keys_bench_ignores_are_refused(self, tmp_path, received, capsys, config):
         path = tmp_path / "bench.yaml"
         path.write_text(yaml.safe_dump(config))
-        code = main(["bench", "--m", "4", "--out", str(tmp_path), "--config", str(path)])
+        code = main(
+            ["bench", "--m", "4,8,12", "--out", str(tmp_path), "--config", str(path)]
+        )
         assert code == 2
         assert received == []
         err = capsys.readouterr().err

@@ -148,6 +148,22 @@ def _toy_model(**overrides):
     return NonlinearSSM(**kwargs)
 
 
+class TestNonlinearSSM:
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("process_cov", np.eye(3)),
+            # a scalar would broadcast over the whole predicted covariance
+            ("process_cov", 0.1),
+            ("meas_var_diag", np.ones(3)),
+            ("angular_mask", np.array([True])),
+        ],
+    )
+    def test_wrong_shape_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} shape"):
+            _toy_model(**{name: value})
+
+
 class TestValidateModel:
     def test_valid_model_passes(self):
         report = validate_model(_toy_model())
@@ -159,14 +175,14 @@ class TestValidateModel:
         report = validate_model(make_tracking_model(SensorField.lattice(3)))
         assert report.ok, report.issues
 
+    def test_zero_state_dim_reported(self):
+        model = _toy_model(state_dim=0, process_cov=np.zeros((0, 0)))
+        assert validate_model(model).issues == ("state_dim must be >= 1",)
+
     def test_zero_noise_entry_reported(self):
         report = validate_model(_toy_model(meas_var_diag=np.array([1.0, 0.0])))
         assert not report.ok
         assert any("meas_var_diag must be strictly positive" in s for s in report.issues)
-
-    def test_process_cov_shape_reported(self):
-        report = validate_model(_toy_model(process_cov=np.eye(3)))
-        assert any("process_cov dimension mismatch" in s for s in report.issues)
 
     def test_indefinite_process_cov_reported(self):
         report = validate_model(_toy_model(process_cov=np.diag([1.0, -1.0])))

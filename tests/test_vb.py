@@ -436,6 +436,42 @@ class TestSorStep:
         assert f"VB iteration {clean.iterations}:" in str(info.value)
         assert "updated cov" in str(info.value)
 
+    def test_posterior_predictive_failure_names_its_vb_iteration(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        h = rng.standard_normal((4, 2))
+        model = _linear_model(h, np.full(4, 0.5))
+        init = GaussianBelief(rng.standard_normal(2), _random_spd(rng, 2))
+        prediction = predict(model, init, UTParams())
+        y = h @ prediction.mean + rng.standard_normal(4)
+        y[1] += 40.0
+        clean = sor_step(model, prediction, y, IndicatorConfig(), UTParams())
+        assert clean.iterations >= 2
+
+        # the parallel loop calls posterior_predictive_meas once per VB
+        # iteration; the second call belongs to iteration 2
+        real = sorfilt.vb.posterior_predictive_meas
+        calls = []
+
+        def failing_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise FilterNumericsError("synthetic fault")
+            return real(*args)
+
+        monkeypatch.setattr(sorfilt.vb, "posterior_predictive_meas", failing_second)
+        with pytest.raises(FilterNumericsError) as info:
+            sor_step(model, prediction, y, IndicatorConfig(), UTParams())
+        assert "VB iteration 2: synthetic fault" in str(info.value)
+
+        calls.clear()
+        with pytest.raises(FilterNumericsError) as info:
+            sor_filter_run(
+                model, init, [Measurement(7, y)], IndicatorConfig(), UTParams()
+            )
+        assert str(info.value).startswith("time step 7: ")
+        assert "VB iteration 2: synthetic fault" in str(info.value)
+        assert info.value.time_index == 7
+
 
 class TestUkfStep:
     def test_matches_kalman_on_linear_model(self):
