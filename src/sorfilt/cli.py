@@ -19,6 +19,11 @@ from .uwb import DatasetError
 from .vb import FILTER_NAMES
 
 
+def _filter_names(text: str) -> tuple[str, ...] | None:
+    """A --filters list; an empty string sets nothing."""
+    return tuple(p.strip() for p in text.split(",") if p.strip()) if text else None
+
+
 def _add_common(parser: argparse.ArgumentParser, filters: bool = True) -> None:
     parser.add_argument("--config", help="YAML scenario config file")
     parser.add_argument("--seed", type=int, help="base experiment seed")
@@ -26,7 +31,9 @@ def _add_common(parser: argparse.ArgumentParser, filters: bool = True) -> None:
     parser.add_argument("--out", help="output directory for reports")
     if filters:
         parser.add_argument(
-            "--filters", help=f"comma-separated subset of {','.join(FILTER_NAMES)}"
+            "--filters",
+            type=_filter_names,
+            help=f"comma-separated subset of {','.join(FILTER_NAMES)}",
         )
 
 
@@ -34,58 +41,50 @@ class _ConfigError(Exception):
     """A config file or flag value the command cannot run with."""
 
 
-def _build_config(args) -> ScenarioConfig:
-    filters = None
-    if getattr(args, "filters", None):
-        filters = tuple(p.strip() for p in args.filters.split(",") if p.strip())
+# bench_runtime keywords that a flag or the config file may set; a key set
+# by neither keeps bench_runtime's own default, not ScenarioConfig's
+BENCH_KEYS = ("runs", "steps", "lam", "gamma_law", "filters")
+
+# the config keys each command reads; a --config file setting any other key
+# is refused, since the command would ignore it
+CONFIG_KEYS = {
+    # the tracking sweep: every key but the uwb-only ones
+    "simulate": tuple(
+        f.name for f in dataclasses.fields(ScenarioConfig)
+        if f.name not in ("dataset", "variant", "tag_z")
+    ),
+    # the one filter 'variant' names, on a dataset or the synthetic room
+    "uwb": (
+        "dataset", "runs", "seed", "out", "variant", "tag_z",
+        "epsilon", "theta_prior", "tau", "max_iters", "alpha", "beta", "kappa",
+    ),
+    # bench_runtime always runs its own outlier world
+    "bench": BENCH_KEYS + ("seed", "out"),
+}
+
+
+def _build_config(args) -> tuple[ScenarioConfig, set[str]]:
+    """args.command's config, built once from the --config file and the flags,
+    and the keys that the file or a flag set."""
+    allowed = CONFIG_KEYS[args.command]
     try:
-        cfg = ScenarioConfig.from_yaml(args.config) if args.config else ScenarioConfig()
-        return cfg.with_overrides(
-            seed=args.seed,
-            runs=args.runs,
-            out=args.out,
-            filters=filters,
-            variant=getattr(args, "variant", None),
-            tag_z=getattr(args, "tag_z", None),
-            dataset=getattr(args, "dataset", None),
-            steps=getattr(args, "steps", None),
-        )
+        values = ScenarioConfig.read_yaml(args.config) if args.config else {}
+        ignored = sorted(set(values) - set(allowed))
+        if ignored:
+            raise ValueError(
+                f"{args.command} does not use the keys {ignored}; "
+                f"it reads only {sorted(allowed)}"
+            )
+        # flags override the file; each is stored under the key it sets
+        flags = vars(args).items()
+        values.update((k, v) for k, v in flags if k in allowed and v is not None)
+        return ScenarioConfig(**values), set(values)
     except (TypeError, ValueError) as exc:  # TypeError: a value of the wrong type
         raise _ConfigError(str(exc)) from exc
 
 
-def _config_keys(args, command: str, allowed) -> set[str]:
-    """The keys the --config file sets; none without one.
-
-    A file setting a key outside allowed is refused: command would ignore it.
-    """
-    if not args.config:
-        return set()
-    try:
-        given = set(ScenarioConfig.read_yaml(args.config))
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from exc
-    ignored = sorted(given - set(allowed))
-    if ignored:
-        raise _ConfigError(
-            f"{command} does not use the keys {ignored}; "
-            f"it reads only {sorted(allowed)}"
-        )
-    return given
-
-
-# every config key simulate reads: all but the uwb-only ones, which the
-# tracking sweep would ignore, so a file setting them is refused
-SIMULATE_CONFIG_KEYS = tuple(
-    f.name
-    for f in dataclasses.fields(ScenarioConfig)
-    if f.name not in ("dataset", "variant", "tag_z")
-)
-
-
 def _cmd_simulate(args) -> int:
-    _config_keys(args, "simulate", SIMULATE_CONFIG_KEYS)
-    cfg = _build_config(args)
+    cfg, _ = _build_config(args)
     summary = run_sweep(cfg)
     axis = summary["sweep_axis"]
     for point in summary["points"]:
@@ -105,18 +104,8 @@ def _cmd_simulate(args) -> int:
     return 1 if summary["failures"] else 0
 
 
-# every config key uwb reads: run_uwb_experiment runs the one filter
-# 'variant' names on a dataset or the synthetic room, so the tracking keys
-# (filters, steps, lam, ...) would be ignored and a file setting them is refused
-UWB_CONFIG_KEYS = (
-    "dataset", "runs", "seed", "out", "variant", "tag_z",
-    "epsilon", "theta_prior", "tau", "max_iters", "alpha", "beta", "kappa",
-)
-
-
 def _cmd_uwb(args) -> int:
-    _config_keys(args, "uwb", UWB_CONFIG_KEYS)
-    cfg = _build_config(args)
+    cfg, _ = _build_config(args)
     try:
         report = run_uwb_experiment(cfg)
     except DatasetError as exc:
@@ -126,22 +115,12 @@ def _cmd_uwb(args) -> int:
     return 0
 
 
-# bench_runtime keywords that a flag or the config file may set; a key set
-# by neither keeps bench_runtime's own default, not ScenarioConfig's
-BENCH_KEYS = ("runs", "steps", "lam", "gamma_law", "filters")
-# every config key bench reads; a file setting any other key is refused, since
-# bench_runtime always runs its own outlier world and would ignore it
-BENCH_CONFIG_KEYS = BENCH_KEYS + ("seed", "out")
-
-
 def _cmd_bench(args) -> int:
-    given = _config_keys(args, "bench", BENCH_CONFIG_KEYS)
-    cfg = _build_config(args)
+    cfg, given = _build_config(args)
     try:
         m_values = _check_m_values(args.m.split(","))
     except ValueError as exc:
         raise _ConfigError(f"--m {args.m}: {exc}") from exc
-    given |= {key for key in BENCH_KEYS if getattr(args, key, None) is not None}
     chosen = {key: getattr(cfg, key) for key in BENCH_KEYS if key in given}
     report = bench_runtime(m_values=m_values, seed=cfg.seed, out=cfg.out, **chosen)
     for name, slope in report.slopes.items():

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -38,16 +39,17 @@ from .vb import (
     run_filter,
 )
 
-SWEEP_AXES = ("lam", "gamma")
+# each sweep axis and the ScenarioConfig field it sets
+SWEEP_AXES = {"lam": "lam", "gamma": "gamma_law"}
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Declarative experiment definition; YAML-loadable, CLI-overridable.
+    """Declarative experiment definition; YAML-loadable.
 
     Construction builds and checks the indicator, unscented-transform, turn
-    model and corruption configs once, so a bad value fails here, before any
-    run.
+    model and corruption configs once, and the config of each sweep point,
+    so a bad value fails here, before any run.
     """
 
     filters: tuple[str, ...] = FILTER_NAMES
@@ -97,9 +99,11 @@ class ScenarioConfig:
         object.__setattr__(self, "filters", filters)
         if self.variant not in FILTER_NAMES:
             raise ValueError(f"variant must be one of {FILTER_NAMES}")
+        if not -math.inf < self.tag_z < math.inf:  # a NaN fails this too
+            raise ValueError("tag_z must be finite")
         if self.sweep_axis is not None:
             if self.sweep_axis not in SWEEP_AXES:
-                raise ValueError(f"sweep_axis must be one of {SWEEP_AXES}")
+                raise ValueError(f"sweep_axis must be one of {tuple(SWEEP_AXES)}")
             if not tuple(self.sweep_values):
                 raise ValueError("sweep values must be non-empty")
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
@@ -127,15 +131,18 @@ class ScenarioConfig:
             sigma_rho=self.sigma_rho,
         )
         object.__setattr__(self, "_corruption", corruption)
-        # a sweep point's corruption fails here too, not in each of its runs
-        key = "lam" if self.sweep_axis == "lam" else "gamma_law"
-        for value in self.sweep_values if self.sweep_axis else ():
-            dataclasses.replace(corruption, **{key: float(value)})
+        self.points()  # a bad sweep value fails here, not in each of its runs
 
     @classmethod
     def read_yaml(cls, path) -> dict:
-        """The keys and values a YAML config file sets, checked by name only."""
-        raw = yaml.safe_load(Path(path).read_text()) or {}
+        """The keys and values a YAML config file sets, checked by name only.
+
+        A file that cannot be read or parsed is a ValueError naming path.
+        """
+        try:
+            raw = yaml.safe_load(Path(path).read_text()) or {}
+        except (OSError, yaml.YAMLError) as exc:
+            raise ValueError(f"{path}: cannot read config: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: config root must be a mapping")
         known = {f.name for f in dataclasses.fields(cls)}
@@ -148,9 +155,16 @@ class ScenarioConfig:
     def from_yaml(cls, path) -> "ScenarioConfig":
         return cls(**cls.read_yaml(path))
 
-    def with_overrides(self, **kwargs) -> "ScenarioConfig":
-        updates = {k: v for k, v in kwargs.items() if v is not None}
-        return dataclasses.replace(self, **updates) if updates else self
+    def points(self) -> list[tuple]:
+        """(value, config) per sweep point: a config without a sweep whose axis
+        field is float(value).  [(None, self)] when there is no sweep."""
+        if self.sweep_axis is None:
+            return [(None, self)]
+        key = SWEEP_AXES[self.sweep_axis]
+        return [
+            (v, dataclasses.replace(self, sweep_axis=None, sweep_values=(), **{key: float(v)}))
+            for v in self.sweep_values
+        ]
 
     def indicator_config(self) -> IndicatorConfig:
         return self._indicator
@@ -206,27 +220,19 @@ class FilterRunOutcome:
 
 
 def run_tracking_single(
-    cfg: ScenarioConfig,
-    run_index: int,
-    lam: float | None = None,
-    gamma_law=None,
+    cfg: ScenarioConfig, run_index: int
 ) -> tuple[np.ndarray, dict[str, FilterRunOutcome]]:
-    """One Monte Carlo run: simulate, then run each configured filter.
+    """One Monte Carlo run: simulate cfg's world, then run each filter on it.
 
-    Returns the true positions and per-filter outcomes.  Timing covers
-    run_filter only, including its O(K m) building of the result arrays.
+    cfg's sweep is ignored: run_sweep passes the config of each sweep point,
+    from cfg.points().  A filter's result does not depend on which other
+    filters run.  Returns the true positions and per-filter outcomes.  Timing
+    covers run_filter only, including its O(K m) building of the result arrays.
     """
     rng = run_rng(cfg.seed, run_index)
     sensor_field = SensorField.lattice(cfg.num_pairs)
     turn_cfg = cfg.turn_config()
-    corruption = cfg._corruption
-    if lam is not None or gamma_law is not None:
-        corruption = dataclasses.replace(
-            corruption,
-            lam=cfg.lam if lam is None else lam,
-            gamma_law=cfg.gamma_law if gamma_law is None else gamma_law,
-        )
-    traj = simulate_trajectory(turn_cfg, sensor_field, corruption, cfg.steps, rng)
+    traj = simulate_trajectory(turn_cfg, sensor_field, cfg._corruption, cfg.steps, rng)
     model = make_tracking_model(sensor_field, turn_cfg, cfg.sigma_theta, cfg.sigma_rho)
     p0 = 100.0 * process_noise_cov(turn_cfg)
     init_mean = TRACKING_X0 + chol_lower(p0, "P0") @ rng.standard_normal(5)
@@ -258,13 +264,11 @@ def run_sweep(cfg: ScenarioConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     axis = cfg.sweep_axis
     points, failures = [], []
-    for value in cfg.sweep_values if axis else (None,):
-        lam = float(value) if axis == "lam" else None
-        gamma_law = float(value) if axis == "gamma" else None
+    for value, point in cfg.points():
         truths, per_filter = [], {name: [] for name in cfg.filters}
         for run_index in range(cfg.runs):
             try:
-                truth, outcomes = run_tracking_single(cfg, run_index, lam, gamma_law)
+                truth, outcomes = run_tracking_single(point, run_index)
             except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
                 error = f"{type(exc).__name__}: {exc}"
                 failures.append({"value": value, "run": run_index, "error": error})

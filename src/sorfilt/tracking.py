@@ -4,6 +4,7 @@ per-dimension outlier or missing-data corruption."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,10 +25,11 @@ class TurnModelConfig:
     eta2: float = 1.75e-4
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("dt must be > 0")
-        if self.eta1 < 0.0 or self.eta2 < 0.0:
-            raise ValueError("noise scales must be >= 0")
+        # each check is written so that a NaN fails it
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and > 0")
+        if not (0.0 <= self.eta1 < math.inf and 0.0 <= self.eta2 < math.inf):
+            raise ValueError("noise scales must be finite and >= 0")
 
 
 def turn_transition(state, cfg: TurnModelConfig):
@@ -133,20 +135,21 @@ class CorruptionConfig:
     sigma_rho: float = 10.0
 
     def __post_init__(self) -> None:
+        # each check is written so that a NaN fails it
         if self.mode not in ("outliers", "missing"):
             raise ValueError("mode must be 'outliers' or 'missing'")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
-        if self.sigma_theta <= 0.0 or self.sigma_rho <= 0.0:
-            raise ValueError("nominal noise sigmas must be > 0")
+        if not (0.0 < self.sigma_theta < math.inf and 0.0 < self.sigma_rho < math.inf):
+            raise ValueError("nominal noise sigmas must be finite and > 0")
         law = self.gamma_law
         if isinstance(law, (tuple, list)):
             low, high = float(law[0]), float(law[1])
-            if low < 1.0 or high < low:
-                raise ValueError("gamma interval must satisfy 1 <= low <= high")
+            if not 1.0 <= low <= high < math.inf:
+                raise ValueError("gamma interval must satisfy 1 <= low <= high < inf")
             object.__setattr__(self, "gamma_law", (low, high))
-        elif float(law) < 1.0:
-            raise ValueError("fixed gamma must be >= 1")
+        elif not 1.0 <= float(law) < math.inf:
+            raise ValueError("fixed gamma must be finite and >= 1")
 
 
 def nominal_sigmas(cfg: CorruptionConfig, meas_dim: int) -> np.ndarray:
@@ -218,9 +221,9 @@ def simulate_trajectory(
     corruption: CorruptionConfig,
     num_steps: int,
     rng: np.random.Generator,
-    x0=TRACKING_X0,
 ) -> TrajectoryData:
-    """Propagate the true state with process noise and emit corrupted readings.
+    """Propagate the true state from TRACKING_X0 with process noise and emit
+    corrupted readings.
 
     The random stream is part of the contract: one sample_gamma draw first,
     then per step k, in this order, rng.standard_normal(5) for the process
@@ -237,7 +240,7 @@ def simulate_trajectory(
     states = np.empty((num_steps, 5))
     uniforms = np.empty((num_steps, m))
     normals = np.empty((num_steps, m))
-    x = np.asarray(x0, dtype=float)
+    x = TRACKING_X0
     for k in range(num_steps):
         x = turn_transition(x, turn_cfg) + q_root @ rng.standard_normal(5)
         states[k] = x

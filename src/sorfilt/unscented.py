@@ -23,10 +23,10 @@ class UTParams:
         # each check is written so that a NaN fails it
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if not self.beta >= 0.0:
-            raise ValueError("beta must be >= 0")
-        if not self.kappa >= 0.0:
-            raise ValueError("kappa must be >= 0")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and >= 0")
+        if not 0.0 <= self.kappa < math.inf:
+            raise ValueError("kappa must be finite and >= 0")
         # n -> UTWeights; not a field, so equality, hashing and repr ignore it
         object.__setattr__(self, "_weights", {})
 

@@ -20,6 +20,7 @@ from .unscented import UTParams
 from .vb import FILTER_NAMES, IndicatorConfig, run_filter
 
 MAX_ACTIVE_RANGES = 4
+SYNTHETIC_ANCHORS = 11  # in make_synthetic_dataset's room, the last never reports
 MISSING_SENTINEL = 0.0
 DEFAULT_NOISE_VAR = 0.1  # shared by Q and R diagonals
 
@@ -267,28 +268,24 @@ def run_localization(
 
 
 def make_synthetic_dataset(
-    seed: int = 0,
-    num_steps: int = 200,
-    num_anchors: int = 11,
-    max_active: int = MAX_ACTIVE_RANGES,
-    absent_anchor: bool = True,
+    seed: int = 0, num_steps: int = 200
 ) -> tuple[AnchorSet, list[StepRecord]]:
-    """Build an indoor-style replica: ceiling anchors, a slow walking tag,
-    readings only from the closest few anchors, blanks elsewhere.
+    """Build an indoor-style replica: a 12 m x 8 m room with SYNTHETIC_ANCHORS
+    ceiling anchors, a slow walking tag, and readings only from the
+    MAX_ACTIVE_RANGES closest anchors, blanks elsewhere.
 
-    With absent_anchor=True the last anchor never reports, giving the
-    indicator model a permanently missing dimension to reject.  True ranges
-    get nominal noise of variance DEFAULT_NOISE_VAR, matching the filter
-    model; missing cells stay empty (encoded as 0.0 downstream).
+    The last anchor never reports, giving the indicator model a permanently
+    missing dimension to reject.  True ranges get nominal noise of variance
+    DEFAULT_NOISE_VAR, matching the filter model; missing cells stay empty
+    (encoded as 0.0 downstream).
 
-    The random stream is part of the contract: num_anchors rng.random()
+    The random stream is part of the contract: SYNTHETIC_ANCHORS rng.random()
     draws for the anchor heights first, then per step k, in this order, one
     rng.random() (below 0.2 the step has one reading fewer) and
-    rng.standard_normal(num_anchors) for the range noise.  Identical
+    rng.standard_normal(SYNTHETIC_ANCHORS) for the range noise.  Identical
     arguments give identical records.
     """
-    if max_active < 1:
-        raise ValueError("max_active must be >= 1")
+    num_anchors = SYNTHETIC_ANCHORS
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     width, depth = 12.0, 8.0
     # anchors spread around the room perimeter, mounted high (2.2 m to 3.0 m)
@@ -320,10 +317,9 @@ def make_synthetic_dataset(
     tags = np.column_stack([truth, np.zeros(num_steps)])
     dists = np.linalg.norm(anchors.positions - tags[:, None, :], axis=2)
     order = np.argsort(dists, axis=1)
-    if absent_anchor:
-        order = order[order != num_anchors - 1].reshape(num_steps, num_anchors - 1)
+    order = order[order != num_anchors - 1].reshape(num_steps, num_anchors - 1)
     # occasionally one fewer reading, as real campaigns show
-    active_count = max_active - (coin < 0.2)
+    active_count = MAX_ACTIVE_RANGES - (coin < 0.2)
     active = np.zeros((num_steps, num_anchors), dtype=bool)
     ranks = np.arange(order.shape[1])
     np.put_along_axis(active, order, ranks < active_count[:, None], axis=1)

@@ -1,5 +1,6 @@
 """Experiment harness: configs, RMSE math, sweeps, benchmarks, CLI."""
 
+import dataclasses
 import inspect
 import json
 
@@ -25,6 +26,7 @@ from sorfilt import (
     write_dataset,
 )
 from sorfilt.cli import main
+from sorfilt.vb import FILTER_NAMES
 
 
 class TestRmsePos:
@@ -134,6 +136,19 @@ class TestScenarioConfig:
             ({"dt": -1.0}, "dt"),
             ({"mode": "both"}, "mode"),
             ({"lam": 1.5}, "lam"),
+            # NaN and inf values
+            ({"dt": float("nan")}, "dt"),
+            ({"eta1": float("nan")}, "noise scales"),
+            ({"eta2": float("inf")}, "noise scales"),
+            ({"sigma_theta": float("nan")}, "sigmas"),
+            ({"sigma_rho": float("inf")}, "sigmas"),
+            ({"gamma_law": float("nan")}, "gamma must"),
+            ({"gamma_law": (float("nan"), float("nan"))}, "gamma interval"),
+            ({"gamma_law": (1.0, float("inf"))}, "gamma interval"),
+            ({"tag_z": float("nan")}, "tag_z"),
+            ({"sweep_axis": "gamma", "sweep_values": (10.0, float("nan"))}, "gamma must"),
+            ({"beta": float("inf")}, "beta"),
+            ({"kappa": float("inf")}, "kappa"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -178,13 +193,6 @@ class TestScenarioConfig:
         path.write_text("")
         assert ScenarioConfig.from_yaml(path) == ScenarioConfig()
 
-    def test_with_overrides_skips_none(self):
-        cfg = ScenarioConfig(seed=5)
-        new = cfg.with_overrides(seed=None, runs=7)
-        assert new.seed == 5
-        assert new.runs == 7
-        assert cfg.with_overrides() is cfg
-
     def test_helper_objects(self):
         cfg = ScenarioConfig(epsilon=1e-4, theta_prior=0.4, dt=2.0)
         icfg = cfg.indicator_config()
@@ -219,12 +227,42 @@ class TestRunTrackingSingle:
         assert not np.array_equal(truth1, truth2)
 
     def test_lam_override_changes_measurements(self):
+        # a lam sweep point's config replaces the config's lam
         cfg = ScenarioConfig(steps=8, runs=1, filters=("ukf",), seed=4, lam=0.9)
         _, heavy = run_tracking_single(cfg, 0)
-        _, clean = run_tracking_single(cfg, 0, lam=0.0)
+        sweep = dataclasses.replace(cfg, sweep_axis="lam", sweep_values=(0.0,))
+        ((_, point),) = sweep.points()
+        _, clean = run_tracking_single(point, 0)
         assert not np.array_equal(
             heavy["ukf"].estimates, clean["ukf"].estimates
         )
+
+    @pytest.mark.parametrize(
+        "axis,key,values", [("lam", "lam", (0.0, 0.6)), ("gamma", "gamma_law", (1, 400.0))]
+    )
+    @pytest.mark.parametrize("mode", ["outliers", "missing"])
+    def test_sweep_points_match_plain_configs(self, axis, key, values, mode):
+        base = dict(steps=12, runs=1, seed=6, mode=mode)
+        sweep = ScenarioConfig(**base, sweep_axis=axis, sweep_values=values)
+        assert [value for value, _ in sweep.points()] == list(values)
+        for value, point in sweep.points():
+            plain = ScenarioConfig(**base, **{key: float(value)})
+            assert point == plain
+            _, got = run_tracking_single(point, 1)
+            _, want = run_tracking_single(plain, 1)
+            for name in FILTER_NAMES:
+                assert np.array_equal(got[name].estimates, want[name].estimates)
+                assert np.array_equal(got[name].iterations, want[name].iterations)
+
+    @pytest.mark.parametrize("mode", ["outliers", "missing"])
+    def test_filter_result_independent_of_the_others(self, mode):
+        cfg = ScenarioConfig(steps=30, runs=1, seed=3, mode=mode, lam=0.4)
+        _, together = run_tracking_single(cfg, 2)
+        for name in FILTER_NAMES:
+            alone_cfg = dataclasses.replace(cfg, filters=(name,))
+            _, alone = run_tracking_single(alone_cfg, 2)
+            assert np.array_equal(alone[name].estimates, together[name].estimates)
+            assert np.array_equal(alone[name].iterations, together[name].iterations)
 
 
 class TestRunSweep:
@@ -272,10 +310,10 @@ class TestRunSweep:
     def test_failures_recorded_without_aborting(self, tmp_path, monkeypatch):
         real = harness.run_tracking_single
 
-        def flaky(cfg, run_index, lam=None, gamma_law=None):
+        def flaky(cfg, run_index):
             if run_index == 1:
                 raise RuntimeError("synthetic fault")
-            return real(cfg, run_index, lam, gamma_law)
+            return real(cfg, run_index)
 
         monkeypatch.setattr(harness, "run_tracking_single", flaky)
         cfg = self._small_cfg(tmp_path, runs=3, filters=("ukf",))
@@ -411,7 +449,7 @@ class TestCli:
         assert summary["runs"] == 1
 
     def test_simulate_exit_one_on_run_failure(self, tmp_path, capsys, monkeypatch):
-        def broken(cfg, run_index, lam=None, gamma_law=None):
+        def broken(cfg, run_index):
             raise RuntimeError("synthetic fault")
 
         monkeypatch.setattr(harness, "run_tracking_single", broken)
@@ -461,6 +499,9 @@ class TestCli:
             ("simulate", {"alpha": 2.0}, "alpha"),
             ("simulate", {"num_pairs": 0}, "num_pairs"),
             ("uwb", {"tau": -1.0}, "tau"),
+            ("simulate", {"dt": float("nan")}, "dt"),
+            ("simulate", {"gamma_law": float("inf")}, "gamma"),
+            ("uwb", {"tag_z": float("nan")}, "tag_z"),
         ],
     )
     def test_bad_config_value_exits_two(self, tmp_path, capsys, command, config, match):
@@ -511,10 +552,41 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "uwb", "bench"])
+    @pytest.mark.parametrize("case", ["malformed", "missing"])
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, command, case):
+        path = tmp_path / "scenario.yaml"
+        if case == "malformed":
+            path.write_text("runs: [1\n")
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: cannot read config: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "uwb", "bench"])
     def test_bad_flag_value_exits_two(self, tmp_path, capsys, command):
         code = main([command, "--runs", "0", "--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error: runs must be >= 1" in capsys.readouterr().err
+
+    def test_flag_replaces_bad_file_value_before_any_check(self, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump({"runs": 0, "steps": 5, "filters": ["bad"]}))
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
+        code = main(argv + ["--runs", "1", "--filters", "ukf"])
+        assert code == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert (summary["runs"], summary["filters"]) == (1, ["ukf"])
+
+    def test_config_keys_cover_every_field(self):
+        keys = sorfilt.cli.CONFIG_KEYS
+        read = set().union(*keys.values())
+        assert read == {f.name for f in dataclasses.fields(ScenarioConfig)}
+        # every flag that sets a config key sets one its command reads
+        parser = sorfilt.cli.build_parser()
+        for command, allowed in keys.items():
+            flags = set(vars(parser.parse_args([command]))) & read
+            assert flags and flags <= set(allowed), command
 
     @pytest.mark.parametrize(
         "config,named",
