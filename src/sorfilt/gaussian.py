@@ -134,15 +134,26 @@ def update_parallel(
     yv = _measurement_values(y)
     if yv.shape != (m,):
         raise ValueError(f"measurement length {yv.shape} does not match meas dim {m}")
+    resid = innovation(yv, predmeas.mu, angular_mask)
+    return _update_parallel(belief_pred, predmeas, resid, vinv)
 
+
+def _update_parallel(
+    belief_pred: GaussianBelief,
+    predmeas: PredictedMeasurement,
+    resid: np.ndarray,
+    vinv: np.ndarray,
+) -> GaussianBelief:
+    """update_parallel's arithmetic, for a checked precision vector vinv (m,)
+    and the wrapped residual y - predmeas.mu, which a caller that updates the
+    same prediction many times computes once."""
     cd = predmeas.C * vinv  # C @ diag(vinv)
-    s = np.eye(m) + predmeas.U * vinv
+    s = np.eye(predmeas.meas_dim) + predmeas.U * vinv
     try:
         gain = np.linalg.solve(s.T, cd.T).T
     except np.linalg.LinAlgError as exc:
         raise FilterNumericsError("singular innovation system (I + U Vinv)") from exc
 
-    resid = innovation(yv, predmeas.mu, angular_mask)
     mean = belief_pred.mean + gain @ resid
     cov = belief_pred.cov - predmeas.C @ gain.T
     return GaussianBelief._from_filter(mean, cov, "updated cov")

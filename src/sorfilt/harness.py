@@ -106,6 +106,11 @@ class ScenarioConfig:
                 raise ValueError(f"sweep_axis must be one of {tuple(SWEEP_AXES)}")
             if not tuple(self.sweep_values):
                 raise ValueError("sweep values must be non-empty")
+            # missing readings take no gamma, so every point would be one world
+            if self.sweep_axis == "gamma" and self.mode == "missing":
+                raise ValueError("sweep_axis gamma has no effect in mode missing")
+        elif tuple(self.sweep_values):
+            raise ValueError("sweep_values need a sweep_axis")
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         if isinstance(self.gamma_law, list):
             object.__setattr__(self, "gamma_law", tuple(self.gamma_law))

@@ -21,6 +21,7 @@ from .gaussian import (
     JointFactor,
     PredictedMeasurement,
     SerialUpdateResult,
+    _update_parallel,
     innovation,
     joint_factor_from_moments,
     joint_factor_from_sigma,
@@ -28,7 +29,7 @@ from .gaussian import (
     predict,
     predict_measurement,
     serial_conditioning,
-    update_parallel,
+    wrap_angle,
 )
 from .model import GaussianBelief, Measurement, NonlinearSSM
 from .unscented import (
@@ -66,14 +67,24 @@ class IndicatorConfig:
             raise ValueError("tau must be > 0")
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise ValueError("max_iters must be an integer >= 1")
+        # m -> thetas(m); not a field, so equality, hashing and repr ignore it
+        object.__setattr__(self, "_thetas", {})
 
     def thetas(self, m: int) -> np.ndarray:
-        theta = np.atleast_1d(np.asarray(self.theta_prior, dtype=float))
-        if theta.size == 1:
-            return np.full(m, theta[0])
-        if theta.size != m:
-            raise ValueError(f"theta_prior length {theta.size} does not match m={m}")
-        return theta
+        """The read-only prior vector for m dimensions, built on the first call
+        per m.  A length mismatch is never kept, so it raises on every call."""
+        cached = self._thetas.get(m)
+        if cached is None:
+            theta = np.atleast_1d(np.asarray(self.theta_prior, dtype=float))
+            if theta.size == 1:
+                cached = np.full(m, theta[0])
+            elif theta.size != m:
+                raise ValueError(f"theta_prior length {theta.size} does not match m={m}")
+            else:
+                cached = theta.copy()
+            cached.flags.writeable = False
+            self._thetas[m] = cached
+        return cached
 
 
 @dataclass(frozen=True)
@@ -88,6 +99,13 @@ class IndicatorBelief:
         if not (omega.min(initial=0.0) >= 0.0 and omega.max(initial=0.0) <= 1.0):
             raise ValueError("omega entries must lie in [0, 1]")
         object.__setattr__(self, "omega", omega)
+
+    @classmethod
+    def _trusted(cls, omega: np.ndarray) -> "IndicatorBelief":
+        """Belief from a float vector in [0, 1] that the filter built or checked."""
+        belief = object.__new__(cls)
+        object.__setattr__(belief, "omega", omega)
+        return belief
 
     def expected(self, epsilon: float) -> np.ndarray:
         """Expected indicator <I_i> = omega_i + (1 - omega_i) * eps."""
@@ -121,20 +139,30 @@ def omega_update(W_ii, R_ii, theta, epsilon):
     # each check is a min/max reduction; a NaN fails every comparison
     if not (eps.min(initial=0.5) > 0.0 and eps.max(initial=0.5) < 1.0):
         raise ValueError("epsilon must lie strictly inside (0, 1)")
-    if not (w.min(initial=0.0) >= 0.0 and w.max(initial=0.0) < np.inf):
-        raise ValueError("W_ii must be finite and >= 0")
+    _check_w(w)
     if not r.min(initial=1.0) > 0.0:
         raise ValueError("R_ii must be > 0")
     if not (th.min(initial=0.5) > 0.0 and th.max(initial=0.5) < 1.0):
         raise ValueError("theta must lie strictly inside (0, 1)")
+    out = _omega_update(w, r, th, eps)
+    return float(out) if out.ndim == 0 else out
+
+
+def _check_w(w: np.ndarray) -> None:
+    # a min/max reduction; a NaN fails every comparison
+    if not (w.min(initial=0.0) >= 0.0 and w.max(initial=0.0) < np.inf):
+        raise ValueError("W_ii must be finite and >= 0")
+
+
+def _omega_update(w, r, th, eps):
+    """omega_update's arithmetic, for arguments that passed its checks."""
     log_odds_outlier = (
         0.5 * np.log(eps)
         + np.log1p(-th)
         - np.log(th)
         + w * (1.0 - eps) / (2.0 * r)
     )
-    out = expit(-log_odds_outlier)
-    return float(out) if out.ndim == 0 else out
+    return expit(-log_odds_outlier)
 
 
 def effective_precision(indicators, R_diag, epsilon: float) -> np.ndarray:
@@ -165,31 +193,51 @@ def _joint_factor(
     )
 
 
-def _step_update(
-    model: NonlinearSSM, prediction: GaussianBelief, params: UTParams, variant
-):
-    """The step's measurement update as a function (y, vinv) -> (update,
-    mu_post, udiag_post).
-
-    The joint factor (serial) or the predicted measurement (parallel) is
-    built once, here, and every call conditions it on y with precisions
-    vinv.  A serial update is a SerialUpdateResult with its conditioned
-    measurement moments; a parallel one is a GaussianBelief with two Nones.
-    """
+def _step_inputs(model: NonlinearSSM, y, variant) -> tuple[np.ndarray, np.ndarray]:
+    """The checks of one step's inputs, made once at its entry: the variant,
+    y's shape and meas_var_diag > 0.  Returns y's values and the nominal
+    precisions 1 / meas_var_diag, which must be finite."""
     _check_variant(variant)
+    m = model.meas_dim
+    yv = y.values if isinstance(y, Measurement) else np.atleast_1d(np.asarray(y, float))
+    if yv.shape != (m,):
+        raise ValueError(f"measurement length {yv.shape} does not match meas dim {m}")
+    r_diag = model.meas_var_diag
+    # NaN fails both comparisons; every precision the step builds is at most
+    # 1 / R, so one finite 1 / R keeps all of them finite
+    if not r_diag.min(initial=1.0) > 0.0:
+        raise ValueError("meas_var_diag entries must be > 0")
+    rinv = 1.0 / r_diag
+    if not rinv.max(initial=0.0) < np.inf:
+        raise ValueError("Vinv_diag entries must be finite and >= 0")
+    return yv, rinv
+
+
+def _step_update(
+    model: NonlinearSSM, prediction: GaussianBelief, yv, params: UTParams, variant
+):
+    """The step's measurement update of y's values yv, as a function vinv ->
+    (update, mu_post, udiag_post).
+
+    The joint factor (serial) or the predicted measurement and its residual
+    yv - mu (parallel) is built once, here, and every call conditions it on
+    precisions vinv.  A serial update is a SerialUpdateResult with its
+    conditioned measurement moments; a parallel one is a GaussianBelief with
+    two Nones.  The parallel body trusts vinv: callers pass precisions in
+    [0, 1 / R] with R checked by _step_inputs.
+    """
     mask = model.angular_mask
     if variant == "serial":
         factor = _joint_factor(model, prediction, params)
 
-        def update(y, vinv):
-            res = serial_conditioning(factor, y, vinv, mask)
+        def update(vinv):
+            res = serial_conditioning(factor, yv, vinv, mask)
             return res, res.mu_post, res.udiag_post
 
         return update
     predmeas = predict_measurement(model, prediction, params)
-    return lambda y, vinv: (
-        update_parallel(prediction, predmeas, y, vinv, mask), None, None
-    )
+    resid = innovation(yv, predmeas.mu, mask)
+    return lambda vinv: (_update_parallel(prediction, predmeas, resid, vinv), None, None)
 
 
 def _posterior(update) -> GaussianBelief:
@@ -219,10 +267,13 @@ def sor_step(
     the one sigma-point factor built per step.  That difference, not
     rounding, is why their RMSE differs.
 
-    Inputs are validated by the public functions called here; what the loop
-    builds itself is not re-validated.  A serial update's covariance is
-    checked once, on the final iteration's result.  A FilterNumericsError
-    raised from the first update on names its VB iteration: 0 for the first
+    The step's inputs are checked once, at entry: the variant, y's shape,
+    meas_var_diag > 0, the theta_prior length and force_indicators.  The
+    loop then trusts what it builds, except W, which can overflow and is
+    checked on every iteration.  The serial backend still goes through the
+    public serial_conditioning.  A serial update's covariance is checked
+    once, on the final iteration's result.  A FilterNumericsError raised
+    from the first update on names its VB iteration: 0 for the first
     update, l for the work of iteration l, including the final covariance
     check.
 
@@ -230,11 +281,11 @@ def sor_step(
     vector of shape (m,) with entries in [0, 1]; all ones reproduces the
     plain Gaussian-filter update through the identical code path.
     """
-    step_update = _step_update(model, prediction, params, variant)
+    yv, rinv = _step_inputs(model, y, variant)
+    step_update = _step_update(model, prediction, yv, params, variant)
     m = model.meas_dim
     r_diag = model.meas_var_diag
-    mask = model.angular_mask
-    yv = y.values if isinstance(y, Measurement) else np.atleast_1d(np.asarray(y, float))
+    eps = cfg.epsilon
 
     forced = force_indicators is not None
     if forced:
@@ -246,24 +297,30 @@ def sor_step(
         # NaN fails both comparisons
         if not (omega.min() >= 0.0 and omega.max() <= 1.0):
             raise ValueError("force_indicators entries must lie in [0, 1]")
+        vinv = omega / r_diag
     else:
-        omega = np.ones(m)
         thetas = cfg.thetas(m)
+        vinv = rinv  # omega starts at ones
+    mask = model.angular_mask
+    angular = np.flatnonzero(mask) if mask is not None else np.empty(0, dtype=int)
 
     iteration = 0
     converged = forced
     try:
-        update, mu_pp, udiag_pp = step_update(yv, omega / r_diag)
+        update, mu_pp, udiag_pp = step_update(vinv)
         while not converged and iteration < cfg.max_iters:
             iteration += 1
             if mu_pp is None:
                 mu_pp, udiag_pp = posterior_predictive_meas(model, update, params)
-            resid = innovation(yv, mu_pp, mask)
-            omega = omega_update(resid**2 + udiag_pp, r_diag, thetas, cfg.epsilon)
+            # innovation(yv, mu_pp, mask), wrapping through the step's index
+            resid = yv - mu_pp
+            if angular.size:
+                resid[angular] = wrap_angle(resid[angular])
+            w = resid**2 + udiag_pp
+            _check_w(w)
+            omega = _omega_update(w, r_diag, thetas, eps)
             prev_mean = update.mean
-            update, mu_pp, udiag_pp = step_update(
-                yv, _expected_indicator(omega, cfg.epsilon) / r_diag
-            )
+            update, mu_pp, udiag_pp = step_update(_expected_indicator(omega, eps) / r_diag)
 
             # 2-norms as np.linalg.norm computes them for a float vector
             change = update.mean - prev_mean
@@ -277,7 +334,7 @@ def sor_step(
         raise FilterNumericsError(
             f"measurement update failed at VB iteration {iteration}: {exc}"
         ) from exc
-    return SorStepResult(posterior, IndicatorBelief(omega), iteration, converged)
+    return SorStepResult(posterior, IndicatorBelief._trusted(omega), iteration, converged)
 
 
 def ukf_step(
@@ -287,9 +344,10 @@ def ukf_step(
     params: UTParams,
     variant: Variant = "parallel",
 ) -> GaussianBelief:
-    """Plain (non-robust) Gaussian-filter update with noise R."""
-    step_update = _step_update(model, prediction, params, variant)
-    update, _, _ = step_update(y, 1.0 / model.meas_var_diag)
+    """Plain (non-robust) Gaussian-filter update with noise R; its inputs are
+    checked once, as in sor_step."""
+    yv, rinv = _step_inputs(model, y, variant)
+    update, _, _ = _step_update(model, prediction, yv, params, variant)(rinv)
     return _posterior(update)
 
 

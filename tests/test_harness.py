@@ -149,6 +149,12 @@ class TestScenarioConfig:
             ({"sweep_axis": "gamma", "sweep_values": (10.0, float("nan"))}, "gamma must"),
             ({"beta": float("inf")}, "beta"),
             ({"kappa": float("inf")}, "kappa"),
+            # a sweep that would be ignored, or whose points are one world
+            ({"sweep_values": (0.1, 0.5)}, "sweep_values need a sweep_axis"),
+            (
+                {"mode": "missing", "sweep_axis": "gamma", "sweep_values": (10.0, 100.0)},
+                "sweep_axis gamma has no effect in mode missing",
+            ),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -238,10 +244,17 @@ class TestRunTrackingSingle:
         )
 
     @pytest.mark.parametrize(
-        "axis,key,values", [("lam", "lam", (0.0, 0.6)), ("gamma", "gamma_law", (1, 400.0))]
+        "mode,axis,key,values",
+        [
+            pytest.param("outliers", "lam", "lam", (0.0, 0.6), id="outliers-lam-lam-values0"),
+            pytest.param(
+                "outliers", "gamma", "gamma_law", (1, 400.0), id="outliers-gamma-gamma_law-values1"
+            ),
+            # a gamma sweep in missing mode is refused (see test_validation)
+            pytest.param("missing", "lam", "lam", (0.0, 0.6), id="missing-lam-lam-values0"),
+        ],
     )
-    @pytest.mark.parametrize("mode", ["outliers", "missing"])
-    def test_sweep_points_match_plain_configs(self, axis, key, values, mode):
+    def test_sweep_points_match_plain_configs(self, mode, axis, key, values):
         base = dict(steps=12, runs=1, seed=6, mode=mode)
         sweep = ScenarioConfig(**base, sweep_axis=axis, sweep_values=values)
         assert [value for value, _ in sweep.points()] == list(values)
@@ -502,6 +515,12 @@ class TestCli:
             ("simulate", {"dt": float("nan")}, "dt"),
             ("simulate", {"gamma_law": float("inf")}, "gamma"),
             ("uwb", {"tag_z": float("nan")}, "tag_z"),
+            ("simulate", {"sweep_values": [0.1, 0.5]}, "sweep_values need a sweep_axis"),
+            (
+                "simulate",
+                {"mode": "missing", "sweep_axis": "gamma", "sweep_values": [10.0, 100.0]},
+                "sweep_axis gamma has no effect in mode missing",
+            ),
         ],
     )
     def test_bad_config_value_exits_two(self, tmp_path, capsys, command, config, match):

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sorfilt.model
 import sorfilt.vb
@@ -19,20 +20,28 @@ from sorfilt import (
     SensorField,
     TurnModelConfig,
     UTParams,
+    draw_sigma_points,
     effective_precision,
     encode_measurements,
+    eval_sigma_points,
+    innovation,
+    joint_factor_from_sigma,
     make_synthetic_dataset,
     make_tracking_model,
     omega_update,
+    posterior_predictive_meas,
     predict,
+    predict_measurement,
     process_noise_cov,
     run_filter,
     run_rng,
+    serial_conditioning,
     simulate_trajectory,
     sor_filter_run,
     sor_step,
     ukf_filter_run,
     ukf_step,
+    update_parallel,
     uwb_measurement_model,
 )
 
@@ -184,6 +193,20 @@ class TestIndicatorTypes:
         assert np.allclose(cfg.thetas(2), [0.2, 0.8])
         with pytest.raises(ValueError):
             cfg.thetas(3)
+
+    def test_config_thetas_are_built_once_per_m_and_read_only(self):
+        cfg = IndicatorConfig(theta_prior=0.7)
+        first = cfg.thetas(4)
+        assert cfg.thetas(4) is first
+        assert np.array_equal(first, np.full(4, 0.7))
+        assert not first.flags.writeable
+        assert cfg.thetas(2).shape == (2,)
+
+    def test_config_vector_theta_is_copied(self):
+        prior = np.array([0.2, 0.6, 0.9])
+        cfg = IndicatorConfig(theta_prior=prior)
+        thetas = cfg.thetas(3)
+        assert np.array_equal(thetas, prior) and thetas is not prior
 
     def test_belief_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -392,14 +415,17 @@ class TestSorStep:
     def test_returned_omega_is_the_public_omega_update_bit_for_bit(
         self, variant, monkeypatch
     ):
+        # the loop calls omega_update's body with the W it built; record W
+        # there, once per VB iteration
         seen = []
-        public = omega_update
+        body = sorfilt.vb._omega_update
 
         def recording(w, r, theta, eps):
             seen.append((np.array(w), r, theta, eps))
-            return public(w, r, theta, eps)
+            return body(w, r, theta, eps)
 
-        monkeypatch.setattr(sorfilt.vb, "omega_update", recording)
+        monkeypatch.setattr(sorfilt.vb, "_omega_update", recording)
+        public = omega_update
         rng = np.random.default_rng(21)
         h = rng.standard_normal((4, 2))
         model = _linear_model(h, np.full(4, 0.5))
@@ -671,3 +697,194 @@ class TestRunFilter:
         with pytest.raises(FilterNumericsError, match="time step 3:") as info:
             run_filter(name, model, init, ys, IndicatorConfig(), UTParams())
         assert info.value.time_index == 3
+
+
+def _public_vb_step(model, prediction, y, cfg, params, variant):
+    """sor_step's VB loop recomposed from the public functions, each with
+    its own argument checks: (posterior, omega, iterations, converged)."""
+    mask, r_diag = model.angular_mask, model.meas_var_diag
+    yv = y.values if isinstance(y, Measurement) else np.asarray(y, dtype=float)
+    if variant == "serial":
+        sigma = draw_sigma_points(prediction, params)
+        values = eval_sigma_points(sigma, model.meas_fn, model.vectorized)
+        factor = joint_factor_from_sigma(prediction, sigma, values)
+
+        def update(vinv):
+            res = serial_conditioning(factor, yv, vinv, mask)
+            return res, res.mu_post, res.udiag_post
+
+    else:
+        predmeas = predict_measurement(model, prediction, params)
+
+        def update(vinv):
+            return update_parallel(prediction, predmeas, yv, vinv, mask), None, None
+
+    thetas = cfg.thetas(model.meas_dim)
+    state, mu_pp, udiag_pp = update(np.ones(model.meas_dim) / r_diag)
+    iterations, converged = 0, False
+    while not converged and iterations < cfg.max_iters:
+        iterations += 1
+        if mu_pp is None:
+            mu_pp, udiag_pp = posterior_predictive_meas(model, state, params)
+        resid = innovation(yv, mu_pp, mask)
+        omega = omega_update(resid**2 + udiag_pp, r_diag, thetas, cfg.epsilon)
+        prev_mean = state.mean
+        state, mu_pp, udiag_pp = update(IndicatorBelief(omega).expected(cfg.epsilon) / r_diag)
+        delta = np.linalg.norm(state.mean - prev_mean)
+        denom = np.linalg.norm(prev_mean)
+        if denom >= sorfilt.vb.DELTA_DENOM_FLOOR:
+            delta /= denom
+        converged = delta <= cfg.tau
+    posterior = state.posterior if variant == "serial" else state
+    return posterior, omega, iterations, converged
+
+
+def _angular_linear_case(steps=12, seed=31):
+    """(model, init, measurements) of a linear model whose second dimension
+    is an angle, with residuals that cross the wrap and one outlier per step."""
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((4, 3))
+    r = np.array([0.5, 0.2, 1.0, 0.8])
+    model = NonlinearSSM(
+        state_dim=3,
+        meas_dim=4,
+        process_fn=lambda x: x,
+        meas_fn=lambda x: x @ h.T if x.ndim > 1 else h @ x,
+        process_cov=0.1 * np.eye(3),
+        meas_var_diag=r,
+        angular_mask=np.array([False, True, False, False]),
+        vectorized=True,
+    )
+    init = GaussianBelief(rng.standard_normal(3), _random_spd(rng, 3))
+    ys = []
+    for k in range(steps):
+        y = h @ init.mean + np.sqrt(r) * rng.standard_normal(4)
+        y[1] = 3.0 * rng.uniform(-np.pi, np.pi)
+        y[int(rng.integers(4))] += 30.0
+        ys.append(Measurement(k + 1, y))
+    return model, init, ys
+
+
+def _outlier_tracking_case(steps=20, seed=3):
+    """(model, init, measurements) of the tracking world with the paper's
+    outliers (lam 0.3, gamma in [100, 1000]), which take the loop past one
+    iteration."""
+    rng = run_rng(seed, 0)
+    sensor_field = SensorField.lattice(3)
+    turn_cfg = TurnModelConfig()
+    corruption = CorruptionConfig(mode="outliers", lam=0.3, gamma_law=(100.0, 1000.0))
+    traj = simulate_trajectory(turn_cfg, sensor_field, corruption, steps, rng)
+    init = GaussianBelief(traj.states[0], 100.0 * process_noise_cov(turn_cfg))
+    ys = [Measurement(k + 1, traj.measurements[k]) for k in range(steps)]
+    return make_tracking_model(sensor_field, turn_cfg), init, ys
+
+
+class TestLoopEqualsPublicFunctions:
+    """sor_step calls private bodies that trust what the loop built; the same
+    loop through the checked public functions gives the same bits."""
+
+    @pytest.mark.parametrize("case", [_angular_linear_case, _outlier_tracking_case])
+    @pytest.mark.parametrize("variant", ["parallel", "serial"])
+    def test_recomposed_loop_matches_sor_step_bit_for_bit(self, case, variant):
+        model, belief, ys = case()
+        cfg, params = IndicatorConfig(), UTParams()
+        total_iterations = 0
+        for y in ys:
+            prediction = predict(model, belief, params)
+            result = sor_step(model, prediction, y, cfg, params, variant)
+            posterior, omega, iterations, converged = _public_vb_step(
+                model, prediction, y, cfg, params, variant
+            )
+            assert np.array_equal(result.posterior.mean, posterior.mean)
+            assert np.array_equal(result.posterior.cov, posterior.cov)
+            assert np.array_equal(result.indicators.omega, omega)
+            assert result.iterations == iterations
+            assert result.converged == converged
+            total_iterations += iterations
+            belief = result.posterior
+        assert total_iterations > len(ys)  # the loop ran past one iteration
+
+    @settings(max_examples=30)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        m=st.integers(1, 4),
+        angular=st.booleans(),
+    )
+    def test_forced_ones_sor_step_equals_ukf_step(self, seed, n, m, angular):
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((m, n))
+        model = NonlinearSSM(
+            state_dim=n,
+            meas_dim=m,
+            process_fn=lambda x: x,
+            meas_fn=lambda x: x @ h.T if x.ndim > 1 else h @ x,
+            process_cov=np.eye(n),
+            meas_var_diag=rng.uniform(0.1, 3.0, size=m),
+            angular_mask=np.arange(m) == 0 if angular else None,
+            vectorized=True,
+        )
+        prediction = GaussianBelief(rng.standard_normal(n), _random_spd(rng, n))
+        y = h @ prediction.mean + 5.0 * rng.standard_normal(m)
+        for variant in ("parallel", "serial"):
+            forced = sor_step(
+                model, prediction, y, IndicatorConfig(), UTParams(), variant,
+                force_indicators=np.ones(m),
+            )
+            plain = ukf_step(model, prediction, y, UTParams(), variant)
+            assert np.array_equal(forced.posterior.mean, plain.mean)
+            assert np.array_equal(forced.posterior.cov, plain.cov)
+
+
+def _step_call(name, model, y, cfg=None):
+    """Run sor_step (parallel or serial) or ukf_step on one prediction."""
+    prediction = GaussianBelief(np.zeros(model.state_dim), np.eye(model.state_dim))
+    if name == "ukf":
+        return ukf_step(model, prediction, y, UTParams())
+    variant = "parallel" if name == "sor" else "serial"
+    return sor_step(model, prediction, y, cfg or IndicatorConfig(), UTParams(), variant)
+
+
+class TestStepInputErrors:
+    """What the loop used to reject on every call is rejected once, at the
+    step's entry, with the same exception type."""
+
+    @pytest.mark.parametrize("name", FILTER_NAMES)
+    @pytest.mark.parametrize("y", [np.zeros(2), np.zeros(4), np.zeros((3, 1))])
+    def test_measurement_of_the_wrong_shape(self, name, y):
+        model = _linear_model(np.ones((3, 2)), np.ones(3))
+        with pytest.raises(ValueError, match="measurement length"):
+            _step_call(name, model, y)
+
+    @pytest.mark.parametrize("name", FILTER_NAMES)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_meas_var_diag_not_positive(self, name, bad):
+        model = _linear_model(np.ones((3, 2)), np.array([1.0, bad, 2.0]))
+        with pytest.raises(ValueError, match="meas_var_diag entries must be > 0"):
+            _step_call(name, model, np.zeros(3))
+
+    @pytest.mark.parametrize("name", FILTER_NAMES)
+    def test_meas_var_diag_whose_reciprocal_overflows(self, name):
+        model = _linear_model(np.ones((3, 2)), np.array([1.0, 1e-320, 2.0]))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="Vinv_diag entries must be finite"):
+                _step_call(name, model, np.zeros(3))
+
+    @pytest.mark.parametrize("name", ["sor", "msor"])
+    def test_theta_prior_of_the_wrong_length(self, name):
+        model = _linear_model(np.ones((3, 2)), np.ones(3))
+        cfg = IndicatorConfig(theta_prior=np.array([0.5, 0.9]))
+        with pytest.raises(ValueError, match="theta_prior length 2 does not match m=3"):
+            _step_call(name, model, np.zeros(3), cfg)
+        # a bad length is never cached: the second call raises too
+        with pytest.raises(ValueError, match="theta_prior length"):
+            _step_call(name, model, np.zeros(3), cfg)
+
+    @pytest.mark.parametrize("name", ["sor", "msor"])
+    def test_w_that_overflows_to_inf(self, name):
+        model = _linear_model(np.array([[1.0], [1.0]]), np.array([1.0, 1.0]))
+        # the squared residual of 1e200 overflows; only the W check reports it
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=r"^W_ii must be finite and >= 0$"):
+                _step_call(name, model, np.array([1e200, -1e200]))
+
