@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+from dataclasses import fields
 
 from .harness import (
     ScenarioConfig,
@@ -15,8 +15,9 @@ from .harness import (
     run_sweep,
     run_uwb_experiment,
 )
+from .unscented import UTParams
 from .uwb import DatasetError
-from .vb import FILTER_NAMES
+from .vb import FILTER_NAMES, IndicatorConfig
 
 
 def _filter_names(text: str) -> tuple[str, ...] | None:
@@ -50,14 +51,13 @@ BENCH_KEYS = ("runs", "steps", "lam", "gamma_law", "filters")
 CONFIG_KEYS = {
     # the tracking sweep: every key but the uwb-only ones
     "simulate": tuple(
-        f.name for f in dataclasses.fields(ScenarioConfig)
+        f.name for f in fields(ScenarioConfig)
         if f.name not in ("dataset", "variant", "tag_z")
     ),
-    # the one filter 'variant' names, on a dataset or the synthetic room
-    "uwb": (
-        "dataset", "runs", "seed", "out", "variant", "tag_z",
-        "epsilon", "theta_prior", "tau", "max_iters", "alpha", "beta", "kappa",
-    ),
+    # the one filter 'variant' names, on a dataset or the synthetic room,
+    # with the indicator and unscented-transform parameters it runs with
+    "uwb": ("dataset", "runs", "seed", "out", "variant", "tag_z")
+    + tuple(f.name for part in (IndicatorConfig, UTParams) for f in fields(part)),
     # bench_runtime always runs its own outlier world
     "bench": BENCH_KEYS + ("seed", "out"),
 }

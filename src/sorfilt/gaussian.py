@@ -47,10 +47,12 @@ def innovation(y: np.ndarray, mu: np.ndarray, angular_mask=None) -> np.ndarray:
     return resid
 
 
-def _measurement_values(y) -> np.ndarray:
-    if isinstance(y, Measurement):
-        return y.values
-    return np.atleast_1d(np.asarray(y, dtype=float))
+def _measurement_values(y, m: int) -> np.ndarray:
+    """The values of y, a Measurement or a vector, which must have length m."""
+    yv = y.values if isinstance(y, Measurement) else np.atleast_1d(np.asarray(y, float))
+    if yv.shape != (m,):
+        raise ValueError(f"measurement length {yv.shape} does not match meas dim {m}")
+    return yv
 
 
 @dataclass(frozen=True)
@@ -131,9 +133,7 @@ def update_parallel(
     """
     m = predmeas.meas_dim
     vinv = _check_vinv(vinv_diag, m)
-    yv = _measurement_values(y)
-    if yv.shape != (m,):
-        raise ValueError(f"measurement length {yv.shape} does not match meas dim {m}")
+    yv = _measurement_values(y, m)
     resid = innovation(yv, predmeas.mu, angular_mask)
     return _update_parallel(belief_pred, predmeas, resid, vinv)
 
@@ -246,9 +246,7 @@ def serial_conditioning(
     r = factor.Ex.shape[1]
     m = factor.mu.size
     vinv = _check_vinv(vinv_diag, m)
-    yv = _measurement_values(y)
-    if yv.shape != (m,):
-        raise ValueError(f"measurement length {yv.shape} does not match meas dim {m}")
+    yv = _measurement_values(y, m)
     angular = (
         [False] * m
         if angular_mask is None

@@ -42,14 +42,23 @@ from .vb import (
 # each sweep axis and the ScenarioConfig field it sets
 SWEEP_AXES = {"lam": "lam", "gamma": "gamma_law"}
 
+# each part a ScenarioConfig builds, by the attribute that holds it; a part
+# takes every value from the ScenarioConfig field of the same name
+_PARTS = {
+    "indicator": IndicatorConfig,
+    "ut": UTParams,
+    "turn": TurnModelConfig,
+    "corruption": CorruptionConfig,
+}
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Declarative experiment definition; YAML-loadable.
 
-    Construction builds and checks the indicator, unscented-transform, turn
-    model and corruption configs once, and the config of each sweep point,
-    so a bad value fails here, before any run.
+    Construction builds and checks its parts (indicator, ut, turn and
+    corruption) once, and the config of each sweep point, so a bad value
+    fails here, before any run.
     """
 
     filters: tuple[str, ...] = FILTER_NAMES
@@ -115,27 +124,9 @@ class ScenarioConfig:
         if isinstance(self.gamma_law, list):
             object.__setattr__(self, "gamma_law", tuple(self.gamma_law))
         # not fields, so equality, repr and read_yaml ignore them
-        indicator = IndicatorConfig(
-            epsilon=self.epsilon,
-            theta_prior=self.theta_prior,
-            tau=self.tau,
-            max_iters=self.max_iters,
-        )
-        object.__setattr__(self, "_indicator", indicator)
-        object.__setattr__(
-            self, "_ut", UTParams(alpha=self.alpha, beta=self.beta, kappa=self.kappa)
-        )
-        object.__setattr__(
-            self, "_turn", TurnModelConfig(dt=self.dt, eta1=self.eta1, eta2=self.eta2)
-        )
-        corruption = CorruptionConfig(
-            mode=self.mode,
-            lam=self.lam,
-            gamma_law=self.gamma_law,
-            sigma_theta=self.sigma_theta,
-            sigma_rho=self.sigma_rho,
-        )
-        object.__setattr__(self, "_corruption", corruption)
+        for attr, part in _PARTS.items():
+            values = {f.name: getattr(self, f.name) for f in dataclasses.fields(part)}
+            object.__setattr__(self, attr, part(**values))
         self.points()  # a bad sweep value fails here, not in each of its runs
 
     @classmethod
@@ -170,15 +161,6 @@ class ScenarioConfig:
             (v, dataclasses.replace(self, sweep_axis=None, sweep_values=(), **{key: float(v)}))
             for v in self.sweep_values
         ]
-
-    def indicator_config(self) -> IndicatorConfig:
-        return self._indicator
-
-    def ut_params(self) -> UTParams:
-        return self._ut
-
-    def turn_config(self) -> TurnModelConfig:
-        return self._turn
 
 
 def rmse_pos(estimates, truths) -> tuple[np.ndarray, float]:
@@ -236,20 +218,19 @@ def run_tracking_single(
     """
     rng = run_rng(cfg.seed, run_index)
     sensor_field = SensorField.lattice(cfg.num_pairs)
-    turn_cfg = cfg.turn_config()
-    traj = simulate_trajectory(turn_cfg, sensor_field, cfg._corruption, cfg.steps, rng)
-    model = make_tracking_model(sensor_field, turn_cfg, cfg.sigma_theta, cfg.sigma_rho)
-    p0 = 100.0 * process_noise_cov(turn_cfg)
+    traj = simulate_trajectory(cfg.turn, sensor_field, cfg.corruption, cfg.steps, rng)
+    model = make_tracking_model(sensor_field, cfg.turn, cfg.sigma_theta, cfg.sigma_rho)
+    p0 = 100.0 * process_noise_cov(cfg.turn)
     init_mean = TRACKING_X0 + chol_lower(p0, "P0") @ rng.standard_normal(5)
     init = GaussianBelief(init_mean, p0)
     measurements = [Measurement(k + 1, traj.measurements[k]) for k in range(cfg.steps)]
-    icfg = cfg.indicator_config()
-    params = cfg.ut_params()
 
     outcomes: dict[str, FilterRunOutcome] = {}
     for name in cfg.filters:
         start = time.perf_counter()
-        means, _, iterations = run_filter(name, model, init, measurements, icfg, params)
+        means, _, iterations = run_filter(
+            name, model, init, measurements, cfg.indicator, cfg.ut
+        )
         seconds = time.perf_counter() - start
         outcomes[name] = FilterRunOutcome(
             estimates=means[:, [0, 2]], seconds=seconds, iterations=iterations
@@ -328,27 +309,27 @@ def complexity_fit(m_values, runtimes) -> float:
     """Least-squares slope of log-runtime against log-m.
 
     runtimes may be one value per m or a (points, runs) stack, which is
-    averaged per point.  Fewer than 3 sweep points is an error.
+    averaged per point.  Fewer than 3 distinct m values is an error.
     """
     m_arr = np.asarray(m_values, dtype=float)
     t_arr = np.asarray(runtimes, dtype=float)
     if t_arr.ndim > 1:
         t_arr = t_arr.mean(axis=tuple(range(1, t_arr.ndim)))
-    if m_arr.size < 3 or t_arr.size != m_arr.size:
-        raise ValueError("complexity_fit needs >= 3 (m, runtime) points")
+    if np.unique(m_arr).size < 3 or t_arr.size != m_arr.size:
+        raise ValueError("complexity_fit needs >= 3 (m, runtime) points at distinct m")
     if np.any(m_arr <= 0.0) or np.any(t_arr <= 0.0):
         raise ValueError("m and runtimes must be positive for a log-log fit")
     return float(np.polyfit(np.log(m_arr), np.log(t_arr), 1)[0])
 
 
 def _check_m_values(m_values) -> tuple[int, ...]:
-    """bench_runtime's m values as ints: at least 3, each even and positive."""
+    """bench_runtime's m values as ints: >= 3 distinct, each even and positive."""
     try:
         m_values = tuple(int(m) for m in m_values)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"m values must be integers: {exc}") from exc
-    if len(m_values) < 3:
-        raise ValueError("the log-log fit needs at least 3 m values")
+    if len(set(m_values)) < 3:
+        raise ValueError("the log-log fit needs at least 3 distinct m values")
     odd = [m for m in m_values if m < 2 or m % 2]
     if odd:
         raise ValueError(f"m must be even and positive (bearing/range pairs): {odd}")
@@ -440,8 +421,8 @@ def run_uwb_experiment(cfg: ScenarioConfig) -> dict:
             variant=cfg.variant,
             seed=cfg.seed + run_index,
             tag_z=cfg.tag_z,
-            cfg=cfg.indicator_config(),
-            params=cfg.ut_params(),
+            cfg=cfg.indicator,
+            params=cfg.ut,
         )
         rmses.append(result.rmse_m)
         runtimes.append(result.runtime_s)

@@ -12,6 +12,7 @@ Matrix = np.ndarray
 
 SYMMETRY_RTOL = 1e-12
 JITTER_SCALE = 1e-9
+MISSING_SENTINEL = 0.0  # the reading a missing measurement carries
 
 
 class FilterNumericsError(RuntimeError):
@@ -159,8 +160,9 @@ class NonlinearSSM:
     the mapped batch; this only affects speed, never results.
     angular_mask flags measurement dimensions that live on the circle, so
     downstream residuals are wrapped to (-pi, pi].  Construction refuses a
-    process_cov that is not (n, n), or a meas_var_diag or angular_mask that
-    is not (m,); validate_model checks their values.
+    process_cov that is not (n, n), a meas_var_diag or angular_mask that is
+    not (m,), and a meas_var_diag entry that is not > 0 or whose reciprocal
+    overflows; validate_model checks process_cov's values and the maps.
     """
 
     state_dim: int
@@ -184,6 +186,12 @@ class NonlinearSSM:
             if arr.shape != shape:
                 raise ValueError(f"{name} shape {arr.shape} does not match {shape}")
             object.__setattr__(self, name, arr)
+        # NaN fails the first test; a finite 1 / R bounds every precision a step builds
+        if not self.meas_var_diag.min(initial=1.0) > 0.0:
+            raise ValueError("meas_var_diag entries must be > 0")
+        with np.errstate(over="ignore"):
+            if not (1.0 / self.meas_var_diag).max(initial=0.0) < np.inf:
+                raise ValueError("meas_var_diag entries must have a finite reciprocal")
 
 
 @dataclass(frozen=True)
@@ -215,7 +223,8 @@ class ValidationReport:
 
 
 def validate_model(model: NonlinearSSM) -> ValidationReport:
-    """Check model invariants and report every violation by field name."""
+    """Check what construction leaves open (the dimensions, process_cov's
+    values, the maps at the zero vector); report every violation by name."""
     issues: list[str] = []
     n, m = model.state_dim, model.meas_dim
     if n < 1:
@@ -223,7 +232,7 @@ def validate_model(model: NonlinearSSM) -> ValidationReport:
     if m < 1:
         issues.append("meas_dim must be >= 1")
 
-    # shapes are checked on construction
+    # shapes and meas_var_diag are checked on construction
     q = model.process_cov
     if not _is_symmetric(q):
         issues.append("process_cov must be symmetric")
@@ -231,8 +240,6 @@ def validate_model(model: NonlinearSSM) -> ValidationReport:
         1.0, np.abs(q).max(initial=0.0)
     ):
         issues.append("process_cov must be positive semidefinite")
-    if not np.all(model.meas_var_diag > 0.0):
-        issues.append("meas_var_diag must be strictly positive")
 
     if n >= 1 and not issues[:1]:
         for name, fn, out_dim in (

@@ -3,14 +3,12 @@ per-dimension outlier or missing-data corruption."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .model import NonlinearSSM, chol_lower
+from .model import MISSING_SENTINEL, NonlinearSSM, chol_lower
 
 # state layout: [a, a_dot, b, b_dot, omega]
 TRACKING_X0 = np.array([-10000.0, 10.0, 5000.0, -5.0, -0.0524])
@@ -124,7 +122,7 @@ class CorruptionConfig:
 
     mode "outliers": with probability lam the additive noise variance is
     inflated by gamma; otherwise nominal.  mode "missing": with probability
-    lam the reading is replaced by the 0.0 sentinel, no noise added.
+    lam the reading is replaced by MISSING_SENTINEL (0.0), no noise added.
     gamma_law is either a fixed value >= 1 or a (low, high) uniform interval.
     """
 
@@ -198,7 +196,7 @@ def _corrupt_draws(clean, uniforms, normals, sigmas, cfg: CorruptionConfig, gamm
         stds = np.where(flags, np.sqrt(gamma) * sigmas, sigmas)
         values = clean + stds * normals
     else:
-        values = np.where(flags, 0.0, clean + sigmas * normals)
+        values = np.where(flags, MISSING_SENTINEL, clean + sigmas * normals)
     return values, flags
 
 
@@ -277,24 +275,3 @@ def make_tracking_model(
         angular_mask=mask,
         vectorized=True,
     )
-
-
-def dump_trajectory_csv(path, traj: TrajectoryData) -> None:
-    """Write one row per step: k, the 5 true state entries, y, corruption flags."""
-    m = traj.measurements.shape[1]
-    header = (
-        ["k", "a", "a_dot", "b", "b_dot", "omega"]
-        + [f"y{i + 1}" for i in range(m)]
-        + [f"flag{i + 1}" for i in range(m)]
-    )
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for k in range(traj.states.shape[0]):
-            row = (
-                [k + 1]
-                + [repr(float(v)) for v in traj.states[k]]
-                + [repr(float(v)) for v in traj.measurements[k]]
-                + [int(v) for v in traj.flags[k]]
-            )
-            writer.writerow(row)

@@ -15,13 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import GaussianBelief, Measurement, NonlinearSSM
+from .model import MISSING_SENTINEL, GaussianBelief, Measurement, NonlinearSSM
 from .unscented import UTParams
-from .vb import FILTER_NAMES, IndicatorConfig, run_filter
+from .vb import IndicatorConfig, run_filter
 
 MAX_ACTIVE_RANGES = 4
 SYNTHETIC_ANCHORS = 11  # in make_synthetic_dataset's room, the last never reports
-MISSING_SENTINEL = 0.0
 DEFAULT_NOISE_VAR = 0.1  # shared by Q and R diagonals
 
 ANCHORS_FILE = "anchors.csv"
@@ -131,6 +130,9 @@ def load_dataset(path) -> tuple[AnchorSet, list[StepRecord]]:
                 f"{steps_path}: header must start with step,truth_x,truth_y"
             )
         column_ids = [h.strip() for h in header[3:]]
+        repeated = sorted({c for c in column_ids if column_ids.count(c) > 1})
+        if repeated:
+            raise DatasetError(f"{steps_path}: duplicate anchor columns {repeated}")
         unknown = set(column_ids) - set(anchors.ids)
         if unknown:
             raise DatasetError(f"{steps_path}: unknown anchor ids {sorted(unknown)}")
@@ -232,13 +234,12 @@ def run_localization(
 ) -> LocalizationResult:
     """Run one filter over the dataset from a random initial mean.
 
-    variant is one of ukf, sor (parallel updates), msor (serial updates).
-    Missing readings enter the filter as the 0.0 sentinel; rejection is the
-    indicator model's job.  The reported runtime covers run_filter only,
-    including its O(K m) building of the result arrays.
+    variant is one of ukf, sor (parallel updates), msor (serial updates);
+    run_filter refuses any other name.  Missing readings enter the filter as
+    MISSING_SENTINEL (0.0); rejection is the indicator model's job.  The
+    reported runtime covers run_filter only, including its O(K m) building
+    of the result arrays.
     """
-    if variant not in FILTER_NAMES:
-        raise ValueError(f"unknown variant {variant!r}")
     cfg = cfg or IndicatorConfig()
     params = params or UTParams()
     model = uwb_measurement_model(anchors, tag_z)

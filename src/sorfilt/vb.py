@@ -21,6 +21,7 @@ from .gaussian import (
     JointFactor,
     PredictedMeasurement,
     SerialUpdateResult,
+    _measurement_values,
     _update_parallel,
     innovation,
     joint_factor_from_moments,
@@ -194,23 +195,11 @@ def _joint_factor(
 
 
 def _step_inputs(model: NonlinearSSM, y, variant) -> tuple[np.ndarray, np.ndarray]:
-    """The checks of one step's inputs, made once at its entry: the variant,
-    y's shape and meas_var_diag > 0.  Returns y's values and the nominal
-    precisions 1 / meas_var_diag, which must be finite."""
+    """The checks of one step's inputs, made once at its entry: the variant
+    and y's shape.  Returns y's values and the nominal precisions
+    1 / meas_var_diag, which the model keeps finite."""
     _check_variant(variant)
-    m = model.meas_dim
-    yv = y.values if isinstance(y, Measurement) else np.atleast_1d(np.asarray(y, float))
-    if yv.shape != (m,):
-        raise ValueError(f"measurement length {yv.shape} does not match meas dim {m}")
-    r_diag = model.meas_var_diag
-    # NaN fails both comparisons; every precision the step builds is at most
-    # 1 / R, so one finite 1 / R keeps all of them finite
-    if not r_diag.min(initial=1.0) > 0.0:
-        raise ValueError("meas_var_diag entries must be > 0")
-    rinv = 1.0 / r_diag
-    if not rinv.max(initial=0.0) < np.inf:
-        raise ValueError("Vinv_diag entries must be finite and >= 0")
-    return yv, rinv
+    return _measurement_values(y, model.meas_dim), 1.0 / model.meas_var_diag
 
 
 def _step_update(
@@ -224,7 +213,7 @@ def _step_update(
     precisions vinv.  A serial update is a SerialUpdateResult with its
     conditioned measurement moments; a parallel one is a GaussianBelief with
     two Nones.  The parallel body trusts vinv: callers pass precisions in
-    [0, 1 / R] with R checked by _step_inputs.
+    [0, 1 / R], which the model keeps finite.
     """
     mask = model.angular_mask
     if variant == "serial":
@@ -268,14 +257,14 @@ def sor_step(
     rounding, is why their RMSE differs.
 
     The step's inputs are checked once, at entry: the variant, y's shape,
-    meas_var_diag > 0, the theta_prior length and force_indicators.  The
-    loop then trusts what it builds, except W, which can overflow and is
-    checked on every iteration.  The serial backend still goes through the
-    public serial_conditioning.  A serial update's covariance is checked
-    once, on the final iteration's result.  A FilterNumericsError raised
-    from the first update on names its VB iteration: 0 for the first
-    update, l for the work of iteration l, including the final covariance
-    check.
+    the theta_prior length and force_indicators; NonlinearSSM has checked
+    meas_var_diag.  The loop then trusts what it builds, except W, which can
+    overflow and is checked on every iteration.  The serial backend still
+    goes through the public serial_conditioning.  A serial update's
+    covariance is checked once, on the final iteration's result.  A
+    FilterNumericsError raised from the first update on names its VB
+    iteration: 0 for the first update, l for the work of iteration l,
+    including the final covariance check.
 
     force_indicators short-circuits the loop with a fixed expected-indicator
     vector of shape (m,) with entries in [0, 1]; all ones reproduces the

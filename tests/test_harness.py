@@ -12,8 +12,12 @@ import sorfilt.cli
 import sorfilt.harness as harness
 from sorfilt import (
     AnchorSet,
+    CorruptionConfig,
+    IndicatorConfig,
     ScenarioConfig,
     StepRecord,
+    TurnModelConfig,
+    UTParams,
     bench_runtime,
     complexity_fit,
     invariant_checks,
@@ -97,6 +101,11 @@ class TestComplexityFit:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match=">= 3"):
             complexity_fit([2.0, 4.0], [1.0, 2.0])
+
+    def test_too_few_distinct_m_rejected(self):
+        # one distinct m leaves the slope undetermined
+        with pytest.raises(ValueError, match="distinct m"):
+            complexity_fit([4.0, 4.0, 4.0], [1.0, 2.0, 3.0])
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError, match="positive"):
@@ -200,17 +209,29 @@ class TestScenarioConfig:
         assert ScenarioConfig.from_yaml(path) == ScenarioConfig()
 
     def test_helper_objects(self):
-        cfg = ScenarioConfig(epsilon=1e-4, theta_prior=0.4, dt=2.0)
-        icfg = cfg.indicator_config()
-        assert icfg.epsilon == 1e-4
-        assert icfg.theta_prior == 0.4
-        assert cfg.ut_params().alpha == 1.0
-        turn = cfg.turn_config()
-        assert turn.dt == 2.0
-        assert turn.eta1 == 0.1
-        # built once, at construction, and shared by every run
-        assert cfg.indicator_config() is icfg and cfg.turn_config() is turn
-        assert cfg.ut_params() is cfg.ut_params()
+        # every part field off its default, so a part that dropped or
+        # misrouted a field would differ from the explicit object
+        cfg = ScenarioConfig(
+            epsilon=1e-4, theta_prior=0.4, tau=1e-3, max_iters=7,
+            alpha=0.5, beta=1.0, kappa=2.0,
+            dt=2.0, eta1=0.3, eta2=1e-3,
+            mode="missing", lam=0.2, gamma_law=5.0, sigma_theta=1e-2, sigma_rho=3.0,
+        )
+        assert cfg.indicator == IndicatorConfig(
+            epsilon=1e-4, theta_prior=0.4, tau=1e-3, max_iters=7
+        )
+        assert cfg.ut == UTParams(alpha=0.5, beta=1.0, kappa=2.0)
+        assert cfg.turn == TurnModelConfig(dt=2.0, eta1=0.3, eta2=1e-3)
+        assert cfg.corruption == CorruptionConfig(
+            mode="missing", lam=0.2, gamma_law=5.0, sigma_theta=1e-2, sigma_rho=3.0
+        )
+        defaults = (IndicatorConfig(), UTParams(), TurnModelConfig(), CorruptionConfig())
+        parts = (cfg.indicator, cfg.ut, cfg.turn, cfg.corruption)
+        for part, default in zip(parts, defaults):
+            for f in dataclasses.fields(part):
+                assert getattr(part, f.name) != getattr(default, f.name), f.name
+        # not fields: equality, repr and the YAML keys ignore them
+        assert "indicator" not in {f.name for f in dataclasses.fields(cfg)}
 
 
 class TestRunTrackingSingle:
@@ -362,7 +383,12 @@ class TestBenchRuntime:
 
     @pytest.mark.parametrize(
         "m_values,match",
-        [((4, 8, 9), "even"), ((4, 8, 0), "even"), ((4, 8), "at least 3")],
+        [
+            ((4, 8, 9), "even"),
+            ((4, 8, 0), "even"),
+            ((4, 8), "at least 3"),
+            ((4, 8, 4), "at least 3 distinct"),
+        ],
     )
     def test_m_values_checked_before_the_first_run(
         self, monkeypatch, m_values, match
@@ -557,7 +583,12 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "m,match",
-        [("3,5,7", "even"), ("4,x", "integers"), ("4,8", "at least 3")],
+        [
+            ("3,5,7", "even"),
+            ("4,x", "integers"),
+            ("4,8", "at least 3"),
+            ("4,4,4", "at least 3 distinct m values"),
+        ],
     )
     def test_bench_bad_m_exits_two(self, tmp_path, capsys, monkeypatch, m, match):
         def no_run(*args, **kwargs):
@@ -606,6 +637,14 @@ class TestCli:
         for command, allowed in keys.items():
             flags = set(vars(parser.parse_args([command]))) & read
             assert flags and flags <= set(allowed), command
+
+    def test_uwb_config_keys(self):
+        # derived from the part classes' fields; a new part field must not
+        # widen what uwb reads unnoticed
+        assert set(sorfilt.cli.CONFIG_KEYS["uwb"]) == {
+            "dataset", "runs", "seed", "out", "variant", "tag_z",
+            "epsilon", "theta_prior", "tau", "max_iters", "alpha", "beta", "kappa",
+        }
 
     @pytest.mark.parametrize(
         "config,named",

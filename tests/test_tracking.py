@@ -1,6 +1,5 @@
-"""Coordinated-turn world: dynamics, sensors, corruption, trajectory CSV."""
+"""Coordinated-turn world: dynamics, sensors, corruption."""
 
-import csv
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from sorfilt import (
     chol_lower,
     clean_measurement,
     corrupt,
-    dump_trajectory_csv,
     make_tracking_model,
     nominal_sigmas,
     process_noise_cov,
@@ -431,33 +429,3 @@ class TestTrackingModel:
         assert np.array_equal(
             model.meas_fn(states), np.stack([model.meas_fn(s) for s in states])
         )
-
-
-class TestTrajectoryCsv:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(11)))
-        traj = simulate_trajectory(
-            TurnModelConfig(),
-            SensorField.lattice(3),
-            CorruptionConfig(mode="outliers", lam=0.3, gamma_law=200.0),
-            12,
-            rng,
-        )
-        path = tmp_path / "traj.csv"
-        dump_trajectory_csv(path, traj)
-        with path.open(newline="") as handle:
-            rows = list(csv.reader(handle))
-        header, body = rows[0], rows[1:]
-        assert header == (
-            ["k", "a", "a_dot", "b", "b_dot", "omega"]
-            + [f"y{i}" for i in range(1, 7)]
-            + [f"flag{i}" for i in range(1, 7)]
-        )
-        assert len(body) == 12
-        assert [int(r[0]) for r in body] == list(range(1, 13))
-        parsed_states = np.array([[float(v) for v in r[1:6]] for r in body])
-        parsed_meas = np.array([[float(v) for v in r[6:12]] for r in body])
-        parsed_flags = np.array([[int(v) for v in r[12:]] for r in body], dtype=bool)
-        assert np.array_equal(parsed_states, traj.states)  # repr round-trips exactly
-        assert np.array_equal(parsed_meas, traj.measurements)
-        assert np.array_equal(parsed_flags, traj.flags)

@@ -17,6 +17,7 @@ from sorfilt import (
     validate_model,
     write_dataset,
 )
+from sorfilt.cli import main
 from sorfilt.uwb import DEFAULT_NOISE_VAR
 
 
@@ -116,6 +117,16 @@ class TestDatasetIo:
         (tmp_path / "steps.csv").write_text("step,truth_x,truth_y,zz\n")
         with pytest.raises(DatasetError, match="unknown anchor ids"):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("columns", ["a,a", "a,b,a"])
+    def test_duplicate_anchor_column_rejected(self, tmp_path, capsys, columns):
+        (tmp_path / "anchors.csv").write_text("id,x,y,z\na,0,0,2.0\nb,1,0,2.0\n")
+        (tmp_path / "steps.csv").write_text(f"step,truth_x,truth_y,{columns}\n")
+        with pytest.raises(DatasetError, match=r"duplicate anchor columns \['a'\]$"):
+            load_dataset(tmp_path)
+        code = main(["uwb", "--dataset", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("dataset error: ")
 
     def test_anchor_columns_reordered_to_anchor_set(self, tmp_path):
         (tmp_path / "anchors.csv").write_text("id,x,y,z\na,0,0,2.0\nb,1,0,2.0\n")
@@ -267,7 +278,8 @@ class TestRunLocalization:
 
     def test_rejects_unknown_variant(self):
         anchors, steps = _toy_dataset()
-        with pytest.raises(ValueError, match="variant"):
+        # run_filter, the one owner of the filter names, refuses it
+        with pytest.raises(ValueError, match="unknown filter 'fast'"):
             run_localization(anchors, steps, variant="fast")
 
     def test_deterministic_replay(self):
