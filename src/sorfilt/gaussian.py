@@ -20,6 +20,7 @@ from .model import (
 from .unscented import (
     SigmaPointSet,
     UTParams,
+    _mean_cov_dev,
     draw_sigma_points,
     eval_sigma_points,
     moments_from_values,
@@ -94,7 +95,7 @@ def predict(
     """Propagate the posterior through the process map and add Q."""
     sigma = draw_sigma_points(posterior, params)
     values = eval_sigma_points(sigma, model.process_fn, model.vectorized)
-    mean, cov, _ = moments_from_values(sigma, values)
+    mean, cov, _ = _mean_cov_dev(sigma, values)  # the cross-covariance is not needed
     return GaussianBelief._from_filter(mean, cov + model.process_cov, "predicted cov")
 
 
@@ -254,15 +255,20 @@ def serial_conditioning(
     )
 
     # Python floats for scalars and ndarray.dot for products: the same
-    # results as numpy scalars and @, with less overhead per operation
+    # results as numpy scalars and @, with less overhead per operation.
+    # Every vector and the outer product go into buffers made once per call,
+    # through positional out arguments.
     ez, mu, yl, vl = factor.Ez, factor.mu.tolist(), yv.tolist(), vinv.tolist()
     t = np.eye(r)
     tt = t.T  # a view: it follows the in-place updates of t
     g = np.zeros(r)
-    for i in np.flatnonzero(vinv).tolist():
+    phi, u, step, scaled = np.empty(r), np.empty(r), np.empty(r), np.empty(r)
+    outer = np.empty((r, r))
+    ucol = u[:, None]  # a view of u as a column
+    for i in vinv.nonzero()[0].tolist():
         v = 1.0 / vl[i]
         row = ez[i]
-        phi = tt.dot(row)
+        tt.dot(row, phi)
         s = float(phi.dot(phi)) + v
         if s <= 0.0:
             raise FilterNumericsError(
@@ -271,10 +277,11 @@ def serial_conditioning(
         resid = yl[i] - (mu[i] + float(row.dot(g)))
         if angular[i]:
             resid = _wrap_scalar(resid)
-        u = t.dot(phi)
-        g += u * (resid / s)
+        t.dot(phi, u)
+        g += np.multiply(u, resid / s, step)
         gamma = 1.0 / (1.0 + math.sqrt(v / s))
-        t -= u[:, None] * (phi * (gamma / s))
+        np.multiply(ucol, np.multiply(phi, gamma / s, scaled), outer)
+        np.subtract(t, outer, t)
 
     ez_post = factor.Ez @ t
     return SerialUpdateResult(

@@ -202,7 +202,11 @@ class Measurement:
     values: Vector
 
     def __post_init__(self) -> None:
-        if int(self.time_index) != self.time_index or self.time_index < 1:
+        try:
+            bad_index = int(self.time_index) != self.time_index or self.time_index < 1
+        except (OverflowError, ValueError):  # int() of an infinity or a NaN
+            bad_index = True
+        if bad_index:
             raise ValueError("time_index must be an integer >= 1")
         values = np.atleast_1d(np.asarray(self.values, dtype=float))
         if values.ndim != 1:

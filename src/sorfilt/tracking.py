@@ -35,22 +35,53 @@ def turn_transition(state, cfg: TurnModelConfig):
 
     Below |omega| = 1e-9 the constant-velocity limit is used:
     sin(w dt)/w -> dt and (1 - cos(w dt))/w -> 0.
+
+    One state of shape (5,) is moved in Python floats, with numpy's sin and
+    cos of w dt: the same IEEE operations in the same order as a batch row,
+    so the bits are identical.  Python floats never warn, so a state with a
+    non-finite omega or result is moved by the batch arithmetic, which warns
+    on overflow and invalid operations as numpy does.
     """
     x = np.asarray(state, dtype=float)
+    if x.shape == (5,):
+        a, a_dot, b, b_dot, omega = x.tolist()
+        if math.isfinite(omega):
+            wdt = omega * cfg.dt
+            sin_w, cos_w = float(np.sin(wdt)), float(np.cos(wdt))
+            if abs(omega) < OMEGA_CV_LIMIT:
+                coef_a, coef_d = cfg.dt, 0.0
+            else:
+                coef_a, coef_d = sin_w / omega, (1.0 - cos_w) / omega
+            moved = _turn_equations(a, a_dot, b, b_dot, sin_w, cos_w, coef_a, coef_d)
+            if math.isfinite(sum(moved)):
+                return np.array([*moved, omega])
     a, a_dot, b, b_dot, omega = (x[..., i] for i in range(5))
     wdt = omega * cfg.dt
     sin_w, cos_w = np.sin(wdt), np.cos(wdt)
     near_zero = np.abs(omega) < OMEGA_CV_LIMIT
-    safe = np.where(near_zero, 1.0, omega)
-    coef_a = np.where(near_zero, cfg.dt, sin_w / safe)
-    coef_d = np.where(near_zero, 0.0, (1.0 - cos_w) / safe)
+    if near_zero.any():
+        safe = np.where(near_zero, 1.0, omega)
+        coef_a = np.where(near_zero, cfg.dt, sin_w / safe)
+        coef_d = np.where(near_zero, 0.0, (1.0 - cos_w) / safe)
+    else:
+        coef_a, coef_d = sin_w / omega, (1.0 - cos_w) / omega
     out = np.empty_like(x)
-    out[..., 0] = a + coef_a * a_dot - coef_d * b_dot
-    out[..., 1] = cos_w * a_dot - sin_w * b_dot
-    out[..., 2] = coef_d * a_dot + b + coef_a * b_dot
-    out[..., 3] = sin_w * a_dot + cos_w * b_dot
+    for i, value in enumerate(
+        _turn_equations(a, a_dot, b, b_dot, sin_w, cos_w, coef_a, coef_d)
+    ):
+        out[..., i] = value
     out[..., 4] = omega
     return out
+
+
+def _turn_equations(a, a_dot, b, b_dot, sin_w, cos_w, coef_a, coef_d):
+    """The moved position-velocity pairs, on floats or on arrays alike."""
+    return (
+        a + coef_a * a_dot - coef_d * b_dot,
+        cos_w * a_dot - sin_w * b_dot,
+        coef_d * a_dot + b + coef_a * b_dot,
+        sin_w * a_dot + cos_w * b_dot,
+    )
 
 
 def process_noise_cov(cfg: TurnModelConfig) -> np.ndarray:

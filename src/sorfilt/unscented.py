@@ -152,13 +152,19 @@ def moments_from_values(
     sigma: SigmaPointSet, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weighted (mu, U, C) from pre-evaluated sigma-point images."""
-    wm, wc = sigma.mean_weights, sigma.cov_weights
-    mu = wm @ values
-    dev = values - mu
-    cov = symmetrize((wc * dev.T) @ dev)
+    mu, cov, dev = _mean_cov_dev(sigma, values)
     dx = sigma.points - sigma.mean
-    cross = (wc * dx.T) @ dev
+    cross = (sigma.cov_weights * dx.T) @ dev
     return mu, cov, cross
+
+
+def _mean_cov_dev(sigma: SigmaPointSet, values: np.ndarray):
+    """Weighted (mu, U) and the deviations values - mu: moments_from_values
+    without the cross-covariance, for a caller that does not need it."""
+    mu = sigma.mean_weights @ values
+    dev = values - mu
+    cov = symmetrize((sigma.cov_weights * dev.T) @ dev)
+    return mu, cov, dev
 
 
 def unscented_moments(

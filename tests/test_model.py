@@ -1,5 +1,7 @@
 """Core types: beliefs, covariance hygiene, model validation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,11 @@ class TestMeasurement:
     def test_rejects_zero_time_index(self):
         with pytest.raises(ValueError, match="time_index"):
             Measurement(0, [1.0])
+
+    @pytest.mark.parametrize("index", [math.inf, -math.inf, math.nan, 2.5])
+    def test_rejects_time_index_that_is_no_integer(self, index):
+        with pytest.raises(ValueError, match="time_index must be an integer >= 1"):
+            Measurement(index, [1.0])
 
     def test_rejects_non_finite_values(self):
         with pytest.raises(ValueError, match="finite"):

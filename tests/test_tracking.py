@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from sorfilt import (
@@ -22,6 +23,14 @@ from sorfilt import (
     turn_transition,
     validate_model,
 )
+
+
+# omega at and around the constant-velocity limit |omega| < 1e-9
+_EDGE_OMEGAS = [
+    sign * w
+    for w in (0.0, 5e-324, math.nextafter(1e-9, 0.0), 1e-9, 2e-9)
+    for sign in (1.0, -1.0)
+]
 
 
 class TestTurnTransition:
@@ -92,6 +101,57 @@ class TestTurnTransition:
         batch = turn_transition(states, cfg)
         rows = np.stack([turn_transition(s, cfg) for s in states])
         assert np.array_equal(batch, rows)
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(-2e4, 2e4),
+                st.floats(-50.0, 50.0),
+                st.floats(-2e4, 2e4),
+                st.floats(-50.0, 50.0),
+                st.one_of(
+                    st.sampled_from(_EDGE_OMEGAS),
+                    st.floats(-3.0, 3.0),
+                    # every scale from below the limit up to 3
+                    st.builds(
+                        lambda sign, exponent: sign * 10.0**exponent,
+                        st.sampled_from([1.0, -1.0]),
+                        st.floats(-12.0, 0.5),
+                    ),
+                ),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        dt=st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_one_state_equals_its_batch_row_bit_for_bit(self, rows, dt):
+        # a single state takes the Python-float path, a batch the array path
+        states = np.array(rows)
+        cfg = TurnModelConfig(dt=dt)
+        batch = turn_transition(states, cfg)
+        for state, row in zip(states, batch):
+            assert turn_transition(state, cfg).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize(
+        "state,warning",
+        [
+            ([1.0, 2.0, 3.0, 4.0, np.inf], "invalid value encountered"),
+            ([1.0, 2.0, 3.0, 4.0, -np.inf], "invalid value encountered"),
+            # finite, but a + coef_a * a_dot overflows
+            ([1e308, 1e308, 0.0, 0.0, 0.1], "overflow encountered"),
+        ],
+    )
+    def test_non_finite_result_warns_as_the_batch_does(self, state, warning):
+        cfg = TurnModelConfig()
+        with pytest.warns(RuntimeWarning, match=warning):
+            out = turn_transition(np.array(state), cfg)
+        with pytest.warns(RuntimeWarning, match=warning):
+            batch = turn_transition(np.array([state, [0.0, 1.0, 0.0, 1.0, 0.1]]), cfg)
+        assert not np.isfinite(out[:4]).all()
+        assert np.array_equal(out, batch[0], equal_nan=True)
+        if np.isinf(state[4]):
+            assert np.isnan(out[:4]).all() and out[4] == state[4]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
