@@ -1,5 +1,6 @@
 """Gaussian filter steps: prediction, Woodbury-form parallel update, and an
-exact serial scalar-conditioning update for diagonal effective noise."""
+exact serial update for diagonal effective noise that conditions a square-root
+joint factor on one scalar at a time, in four BLAS calls per dimension."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from .model import (
     FilterNumericsError,
@@ -42,9 +44,11 @@ def _wrap_scalar(x: float) -> float:
 def innovation(y: np.ndarray, mu: np.ndarray, angular_mask=None) -> np.ndarray:
     """Residual y - mu with circular dimensions wrapped to (-pi, pi]."""
     resid = np.asarray(y, dtype=float) - np.asarray(mu, dtype=float)
-    if angular_mask is not None and np.any(angular_mask):
-        resid = resid.copy()
-        resid[angular_mask] = wrap_angle(resid[angular_mask])
+    if angular_mask is not None:
+        mask = _check_angular(angular_mask, resid.size)
+        if mask.any():
+            resid = resid.copy()
+            resid[mask] = wrap_angle(resid[mask])
     return resid
 
 
@@ -107,6 +111,13 @@ def predict_measurement(
     values = eval_sigma_points(sigma, model.meas_fn, model.vectorized)
     mu, U, C = moments_from_values(sigma, values)
     return PredictedMeasurement(mu=mu, U=U, C=C)
+
+
+def _check_angular(angular_mask, m: int) -> np.ndarray:
+    mask = np.asarray(angular_mask, dtype=bool)
+    if mask.shape != (m,):
+        raise ValueError(f"angular_mask length {mask.shape} does not match meas dim {m}")
+    return mask
 
 
 def _check_vinv(vinv, m: int) -> np.ndarray:
@@ -240,55 +251,52 @@ def serial_conditioning(
     """Condition the joint factor on each scalar y_i in turn.
 
     Each pass applies a Potter-style rank-1 square-root update with additive
-    noise v_i = 1 / vinv_i, accumulated lazily in an r x r transform T and an
-    r-vector g so a full sweep costs O(m r^2) with r = 2n+1 columns.
-    Entries with vinv_i = 0 (infinite noise) are skipped.
+    noise v_i = 1 / vinv_i to an r x r transform T and an r-vector g, so a
+    sweep over the r = 2n+1 factor columns costs O(m r^2).  T and g share one
+    work matrix [T | g], and a dimension costs four BLAS calls: a gemv for
+    phi = T^T e_i and e_i . g, a dot for s = phi . phi + v_i, a gemv for
+    u = T phi, and one dger for T -= gamma / s u phi^T and g += u resid / s,
+    gamma = 1 / (1 + sqrt(v_i / s)).  Angular residuals are wrapped against
+    the partly conditioned mean; entries with vinv_i = 0 are skipped.
     """
     r = factor.Ex.shape[1]
     m = factor.mu.size
     vinv = _check_vinv(vinv_diag, m)
     yv = _measurement_values(y, m)
     angular = (
-        [False] * m
-        if angular_mask is None
-        else np.asarray(angular_mask, dtype=bool).tolist()
+        [False] * m if angular_mask is None else _check_angular(angular_mask, m).tolist()
     )
 
-    # Python floats for scalars and ndarray.dot for products: the same
-    # results as numpy scalars and @, with less overhead per operation.
-    # Every vector and the outer product go into buffers made once per call,
-    # through positional out arguments.
+    # Python floats for scalars, and ndarray.dot into buffers made once per
+    # call: the same results as numpy scalars and @, with less overhead.
     ez, mu, yl, vl = factor.Ez, factor.mu.tolist(), yv.tolist(), vinv.tolist()
-    t = np.eye(r)
-    tt = t.T  # a view: it follows the in-place updates of t
-    g = np.zeros(r)
-    phi, u, step, scaled = np.empty(r), np.empty(r), np.empty(r), np.empty(r)
-    outer = np.empty((r, r))
-    ucol = u[:, None]  # a view of u as a column
+    work = np.eye(r + 1, r)  # [T^T; g^T] with T = I, g = 0
+    tg, t = work.T, work[:r].T  # [T | g] and T, which dger updates in place
+    proj = np.empty(r + 1)  # [phi; e_i . g], then [phi; -resid / gamma]
+    phi, u = proj[:r], np.empty(r)
     for i in vinv.nonzero()[0].tolist():
         v = 1.0 / vl[i]
-        row = ez[i]
-        tt.dot(row, phi)
+        work.dot(ez[i], proj)
         s = float(phi.dot(phi)) + v
         if s <= 0.0:
             raise FilterNumericsError(
                 f"non-positive innovation variance for measurement dimension {i}"
             )
-        resid = yl[i] - (mu[i] + float(row.dot(g)))
+        resid = yl[i] - (mu[i] + proj.item(r))
         if angular[i]:
             resid = _wrap_scalar(resid)
         t.dot(phi, u)
-        g += np.multiply(u, resid / s, step)
-        gamma = 1.0 / (1.0 + math.sqrt(v / s))
-        np.multiply(ucol, np.multiply(phi, gamma / s, scaled), outer)
-        np.subtract(t, outer, t)
+        k = 1.0 + math.sqrt(v / s)
+        proj[r] = -resid * k
+        if dger(-1.0 / (k * s), u, proj, a=tg, overwrite_a=True) is not tg:
+            raise RuntimeError("dger returned a copy instead of updating [T | g]")
 
-    ez_post = factor.Ez @ t
+    x_tg, z_tg = factor.Ex @ tg, factor.Ez @ tg  # [Ex T | Ex g], [Ez T | Ez g]
     return SerialUpdateResult(
-        mean=factor.mean_x + factor.Ex @ g,
-        root=factor.Ex @ t,
-        mu_post=factor.mu + factor.Ez @ g,
-        udiag_post=np.einsum("ij,ij->i", ez_post, ez_post),
+        mean=factor.mean_x + x_tg[:, r],
+        root=x_tg[:, :r],
+        mu_post=factor.mu + z_tg[:, r],
+        udiag_post=np.einsum("ij,ij->i", z_tg[:, :r], z_tg[:, :r]),
     )
 
 

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+import scipy.linalg.blas
+from hypothesis import assume, given, strategies as st
 
+import sorfilt.gaussian
 import sorfilt.model
 from sorfilt import (
     FilterNumericsError,
     GaussianBelief,
+    JointFactor,
     NonlinearSSM,
     PredictedMeasurement,
     SerialUpdateResult,
@@ -99,6 +102,29 @@ class TestInnovation:
         out = innovation(y, mu, mask)
         assert out[0] == pytest.approx(-0.2)
         assert out[1] == pytest.approx(4.0)
+
+
+class TestAngularMaskLength:
+    """A mask whose length is not m is refused by both updates, not silently
+    truncated or met with an IndexError."""
+
+    @pytest.mark.parametrize("mask", [[True], [True, False, False, True]])
+    def test_innovation_rejects(self, mask):
+        with pytest.raises(ValueError, match="angular_mask length .* meas dim 3"):
+            innovation(np.zeros(3), np.zeros(3), mask)
+
+    @pytest.mark.parametrize("mask", [[True], [True, False, False, True]])
+    def test_update_parallel_rejects(self, mask):
+        belief, predmeas = _random_joint_instance(np.random.default_rng(16), 2, 3)
+        with pytest.raises(ValueError, match="angular_mask length .* meas dim 3"):
+            update_parallel(belief, predmeas, np.zeros(3), np.ones(3), mask)
+
+    @pytest.mark.parametrize("mask", [[True], [True, False, False, True]])
+    def test_serial_conditioning_rejects(self, mask):
+        belief, predmeas = _random_joint_instance(np.random.default_rng(16), 2, 3)
+        factor = joint_factor_from_moments(belief, predmeas)
+        with pytest.raises(ValueError, match="angular_mask length .* meas dim 3"):
+            serial_conditioning(factor, np.zeros(3), np.ones(3), mask)
 
 
 def _linear_model(a, q, h, r_diag):
@@ -390,9 +416,11 @@ class TestPosteriorPredictive:
         assert np.allclose(var, np.diag(h @ belief.cov @ h.T), rtol=1e-9, atol=1e-9)
 
 
-def _sequential_dense_conditioning(mean, joint, n, y, vinv, angular):
+def _sequential_dense_conditioning(mean, joint, n, y, vinv, angular, margins=None):
     """Condition the dense (x, z) Gaussian on one scalar y_i = z_i + v_i at a
-    time, wrapping each angular residual against the current mean of z_i."""
+    time, wrapping each angular residual against the current mean of z_i.
+    Each wrapped residual's distance from the cut at +-pi is appended to
+    margins, if given."""
     mean, joint = mean.copy(), joint.copy()
     for i in np.flatnonzero(vinv):
         col = joint[:, n + i].copy()
@@ -400,6 +428,8 @@ def _sequential_dense_conditioning(mean, joint, n, y, vinv, angular):
         resid = y[i] - mean[n + i]
         if angular[i]:
             resid = float(wrap_angle(resid))
+            if margins is not None:
+                margins.append(np.pi - abs(resid))
         mean = mean + col * (resid / s)
         joint = joint - np.outer(col, col) / s
     return mean, joint
@@ -446,6 +476,61 @@ class TestSerialAngleWrapCrossing:
             np.zeros(3), joint, 1, y_unwrapped, vinv, np.zeros(2, bool)
         )
         assert abs(once[0] - res.mean[0]) > 1.0
+
+
+class TestSerialEqualsSequentialOracle:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        r=st.integers(1, 12),
+        m=st.integers(1, 40),
+    )
+    def test_random_factors(self, seed, n, r, m):
+        # about 30% zero precisions, the rest spread over six decades; about
+        # 30% of the dimensions angular, with residuals up to two turns from
+        # the mean, so most of them wrap
+        rng = np.random.default_rng(seed)
+        factor = JointFactor(
+            mean_x=rng.standard_normal(n),
+            mu=rng.standard_normal(m),
+            Ex=rng.standard_normal((n, r)),
+            Ez=rng.standard_normal((m, r)),
+        )
+        vinv = 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+        vinv[rng.random(m) < 0.3] = 0.0
+        angular = rng.random(m) < 0.3
+        y = factor.mu + 3.0 * rng.standard_normal(m)
+        y[angular] += 2.0 * np.pi * rng.integers(-2, 3, size=int(angular.sum()))
+        stacked = np.vstack([factor.Ex, factor.Ez])
+        margins = []
+        mean, cond = _sequential_dense_conditioning(
+            np.concatenate([factor.mean_x, factor.mu]),
+            stacked @ stacked.T,
+            n, y, vinv, angular, margins,
+        )
+        # a residual that ends up near the cut may wrap differently under
+        # rounding; keep only sweeps whose residuals stay far from it
+        assume(min(margins, default=np.pi) > 1e-6)
+
+        res = serial_conditioning(factor, y, vinv, angular)
+        # tolerance: 1e-10 relative to the prior's scale, which is r for the
+        # covariances and about 1 + 3 * sqrt(r) for the means
+        tol_cov, tol_mean = 1e-10 * r, 1e-10 * (1.0 + 3.0 * np.sqrt(r))
+        assert np.allclose(res.mean, mean[:n], rtol=0.0, atol=tol_mean)
+        assert np.allclose(res.mu_post, mean[n:], rtol=0.0, atol=tol_mean)
+        assert np.allclose(res.root @ res.root.T, cond[:n, :n], rtol=0.0, atol=tol_cov)
+        assert np.allclose(res.udiag_post, np.diag(cond)[n:], rtol=0.0, atol=tol_cov)
+
+    def test_update_that_is_not_in_place_raises(self, monkeypatch):
+        # the sweep keeps T and g in one work matrix that dger updates in
+        # place; a dger that returns a copy instead would lose every update
+        def copying_dger(*args, **kwargs):
+            return scipy.linalg.blas.dger(*args, **{**kwargs, "overwrite_a": False})
+
+        monkeypatch.setattr(sorfilt.gaussian, "dger", copying_dger)
+        belief, predmeas = _random_joint_instance(np.random.default_rng(17), 2, 3)
+        with pytest.raises(RuntimeError, match="copy"):
+            update_serial(belief, predmeas, np.zeros(3), np.ones(3))
 
 
 class TestSerialUpdateResult:

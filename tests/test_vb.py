@@ -575,6 +575,44 @@ class TestFilterRuns:
             assert np.array_equal(b.mean, r.posterior.mean)
             assert np.array_equal(b.cov, r.posterior.cov)
 
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 6))
+    def test_plain_runs_equal_textbook_kalman_filter(self, seed, n, m):
+        # on a linear-Gaussian model the unscented transform is exact, so the
+        # plain filter in both backends, and sor_filter_run with indicators
+        # forced to ones, must equal a textbook Kalman filter over 20 steps
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        a *= 0.95 / max(1.0, np.abs(np.linalg.eigvals(a)).max())
+        h = rng.standard_normal((m, n))
+        q = _random_spd(rng, n, 0.1) / n
+        r = rng.uniform(0.1, 3.0, size=m)
+        model = _linear_model(h, r, q=q, a=a)
+        init = GaussianBelief(rng.standard_normal(n), _random_spd(rng, n))
+        x = rng.multivariate_normal(init.mean, init.cov)
+        ys = []
+        for k in range(20):
+            x = a @ x + rng.multivariate_normal(np.zeros(n), q)
+            ys.append(Measurement(k + 1, h @ x + np.sqrt(r) * rng.standard_normal(m)))
+
+        expected, belief = [], init
+        for y in ys:
+            prediction = GaussianBelief(a @ belief.mean, a @ belief.cov @ a.T + q)
+            belief = GaussianBelief(*_kalman_update(prediction, h, r, y.values))
+            expected.append(belief)
+
+        cfg, params, ones = IndicatorConfig(), UTParams(), np.ones(m)
+        for variant in ("parallel", "serial"):
+            forced = sor_filter_run(model, init, ys, cfg, params, variant, ones)
+            plain = ukf_filter_run(model, init, ys, params, variant)
+            for run in ([res.posterior for res in forced], plain):
+                for got, want in zip(run, expected, strict=True):
+                    # tolerance: 1e-11 relative to the size of the oracle's moments
+                    mean_tol = 1e-11 * (1.0 + np.abs(want.mean).max())
+                    cov_tol = 1e-11 * (1.0 + np.abs(want.cov).max())
+                    assert np.abs(got.mean - want.mean).max() <= mean_tol
+                    assert np.abs(got.cov - want.cov).max() <= cov_tol
+
     @pytest.mark.parametrize("runner", ["sor", "msor", "ukf"])
     def test_numerics_error_names_its_time_step(self, runner):
         # the state walks one unit per step; h turns non-finite once the
