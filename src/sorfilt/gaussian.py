@@ -80,12 +80,24 @@ class PredictedMeasurement:
             raise ValueError(f"U shape {U.shape} does not match meas dim {m}")
         if C.shape[1] != m:
             raise ValueError(f"C shape {C.shape} does not match meas dim {m}")
-        if not (np.isfinite(mu).all() and np.isfinite(U).all() and np.isfinite(C).all()):
-            raise ValueError("predicted measurement contains non-finite entries")
+        self._set_finite(mu, U, C)
         if not _is_symmetric(U, rtol=1e-9):
             raise ValueError("U must be symmetric")
-        object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "U", symmetrize(U))
+
+    @classmethod
+    def _from_filter(cls, mu, U, C) -> "PredictedMeasurement":
+        """Moments as moments_from_values builds them, with symmetric U: only
+        finiteness is checked, as the moments of finite images can overflow."""
+        predmeas = object.__new__(cls)
+        predmeas._set_finite(mu, U, C)
+        return predmeas
+
+    def _set_finite(self, mu: np.ndarray, U: np.ndarray, C: np.ndarray) -> None:
+        if not (np.isfinite(mu).all() and np.isfinite(U).all() and np.isfinite(C).all()):
+            raise ValueError("predicted measurement contains non-finite entries")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "U", U)
         object.__setattr__(self, "C", C)
 
     @property
@@ -106,11 +118,11 @@ def predict(
 def predict_measurement(
     model: NonlinearSSM, belief_pred: GaussianBelief, params: UTParams
 ) -> PredictedMeasurement:
-    """Unscented moments of the measurement map about the prediction."""
+    """Unscented moments of the measurement map about the prediction, built
+    by the trusted constructor, which checks only finiteness."""
     sigma = draw_sigma_points(belief_pred, params)
     values = eval_sigma_points(sigma, model.meas_fn, model.vectorized)
-    mu, U, C = moments_from_values(sigma, values)
-    return PredictedMeasurement(mu=mu, U=U, C=C)
+    return PredictedMeasurement._from_filter(*moments_from_values(sigma, values))
 
 
 def _check_angular(angular_mask, m: int) -> np.ndarray:
@@ -124,8 +136,8 @@ def _check_vinv(vinv, m: int) -> np.ndarray:
     vinv = np.atleast_1d(np.asarray(vinv, dtype=float))
     if vinv.shape != (m,):
         raise ValueError(f"Vinv_diag length {vinv.shape} does not match meas dim {m}")
-    # NaN fails both comparisons, so one min and one max reject it too
-    if not (vinv.min(initial=0.0) >= 0.0 and vinv.max(initial=0.0) < np.inf):
+    # NaN fails both comparisons; an empty vinv passes
+    if vinv.size and not (vinv.min() >= 0.0 and vinv.max() < np.inf):
         raise ValueError("Vinv_diag entries must be finite and >= 0")
     return vinv
 
@@ -160,7 +172,8 @@ def _update_parallel(
     and the wrapped residual y - predmeas.mu, which a caller that updates the
     same prediction many times computes once."""
     cd = predmeas.C * vinv  # C @ diag(vinv)
-    s = np.eye(predmeas.meas_dim) + predmeas.U * vinv
+    s = predmeas.U * vinv  # I + U diag(vinv), the identity added in place
+    s.flat[:: predmeas.meas_dim + 1] += 1.0
     try:
         gain = np.linalg.solve(s.T, cd.T).T
     except np.linalg.LinAlgError as exc:
@@ -194,7 +207,7 @@ def joint_factor_from_sigma(
     callers can fall back to the dense factorization.
     """
     wc = sigma.cov_weights
-    if np.any(wc < 0.0):
+    if (wc < 0.0).any():
         raise ValueError("sigma covariance weights must be nonnegative for factoring")
     sw = np.sqrt(wc)
     mu = sigma.mean_weights @ values
@@ -256,8 +269,9 @@ def serial_conditioning(
     work matrix [T | g], and a dimension costs four BLAS calls: a gemv for
     phi = T^T e_i and e_i . g, a dot for s = phi . phi + v_i, a gemv for
     u = T phi, and one dger for T -= gamma / s u phi^T and g += u resid / s,
-    gamma = 1 / (1 + sqrt(v_i / s)).  Angular residuals are wrapped against
-    the partly conditioned mean; entries with vinv_i = 0 are skipped.
+    gamma = 1 / (1 + sqrt(v_i / s)), with all nine arguments positional.
+    Angular residuals are wrapped against the partly conditioned mean;
+    entries with vinv_i = 0 are skipped.  Every call checks its inputs.
     """
     r = factor.Ex.shape[1]
     m = factor.mu.size
@@ -288,7 +302,8 @@ def serial_conditioning(
         t.dot(phi, u)
         k = 1.0 + math.sqrt(v / s)
         proj[r] = -resid * k
-        if dger(-1.0 / (k * s), u, proj, a=tg, overwrite_a=True) is not tg:
+        # (alpha, x, y, incx, incy, a, overwrite_x, overwrite_y, overwrite_a)
+        if dger(-1.0 / (k * s), u, proj, 1, 1, tg, 1, 1, 1) is not tg:
             raise RuntimeError("dger returned a copy instead of updating [T | g]")
 
     x_tg, z_tg = factor.Ex @ tg, factor.Ez @ tg  # [Ex T | Ex g], [Ez T | Ez g]

@@ -55,7 +55,8 @@ def turn_transition(state, cfg: TurnModelConfig):
             moved = _turn_equations(a, a_dot, b, b_dot, sin_w, cos_w, coef_a, coef_d)
             if math.isfinite(sum(moved)):
                 return np.array([*moved, omega])
-    a, a_dot, b, b_dot, omega = (x[..., i] for i in range(5))
+    # on the transposed layout (5, ...) each component is one row
+    a, a_dot, b, b_dot, omega = x.T
     wdt = omega * cfg.dt
     sin_w, cos_w = np.sin(wdt), np.cos(wdt)
     near_zero = np.abs(omega) < OMEGA_CV_LIMIT
@@ -65,13 +66,10 @@ def turn_transition(state, cfg: TurnModelConfig):
         coef_d = np.where(near_zero, 0.0, (1.0 - cos_w) / safe)
     else:
         coef_a, coef_d = sin_w / omega, (1.0 - cos_w) / omega
-    out = np.empty_like(x)
-    for i, value in enumerate(
-        _turn_equations(a, a_dot, b, b_dot, sin_w, cos_w, coef_a, coef_d)
-    ):
-        out[..., i] = value
-    out[..., 4] = omega
-    return out
+    out = np.empty_like(x.T)  # keeps x.T's layout, so out.T is laid out as x
+    out[:4] = _turn_equations(a, a_dot, b, b_dot, sin_w, cos_w, coef_a, coef_d)
+    out[4] = omega
+    return out.T
 
 
 def _turn_equations(a, a_dot, b, b_dot, sin_w, cos_w, coef_a, coef_d):
@@ -140,7 +138,7 @@ def clean_measurement(state, field: SensorField):
     b = x[..., 2:3]
     da_bear = a - field.bearing_pos[:, 0]
     db_bear = b - field.bearing_pos[:, 1]
-    if np.any((da_bear == 0.0) & (db_bear == 0.0)):
+    if ((da_bear == 0.0) & (db_bear == 0.0)).any():
         raise ValueError("target position coincides with a bearing sensor")
     bearings = np.arctan2(db_bear, da_bear)
     ranges = np.hypot(a - field.range_pos[:, 0], b - field.range_pos[:, 1])

@@ -52,17 +52,20 @@ class UTParams:
             wc[0] = wm[0] + (1.0 - self.alpha**2 + self.beta)
             wm.flags.writeable = False
             wc.flags.writeable = False
-            cached = self._weights[n] = UTWeights(math.sqrt(scale), wm, wc)
+            nonnegative = bool((wc >= 0.0).all())
+            cached = self._weights[n] = UTWeights(math.sqrt(scale), wm, wc, nonnegative)
         return cached
 
 
 @dataclass(frozen=True)
 class UTWeights:
-    """sqrt(n + lambda) and the read-only mean and covariance weights."""
+    """sqrt(n + lambda), the read-only mean and covariance weights, and
+    whether every covariance weight is >= 0 (sqrt(wc) then factors)."""
 
     root_scale: float
     mean_weights: np.ndarray
     cov_weights: np.ndarray
+    cov_weights_nonnegative: bool
 
 
 @dataclass(frozen=True)

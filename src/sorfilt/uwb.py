@@ -183,14 +183,15 @@ def write_dataset(path, anchors: AnchorSet, steps: list[StepRecord]) -> None:
 
 def uwb_measurement_model(anchors: AnchorSet, tag_z: float = 0.0) -> NonlinearSSM:
     """Random-walk position model with per-anchor 3D range measurements."""
-    positions = anchors.positions
+    # per model: contiguous anchor coordinates and the squared height gaps
+    ax, ay, az = (np.ascontiguousarray(c) for c in anchors.positions.T)
+    dz2 = (tag_z - az) * (tag_z - az)
 
     def meas_fn(state):
         x = np.asarray(state, dtype=float)
-        dx = x[..., 0:1] - positions[:, 0]
-        dy = x[..., 1:2] - positions[:, 1]
-        dz = tag_z - positions[:, 2]
-        return np.sqrt(dx * dx + dy * dy + dz * dz)
+        dx = x[..., 0:1] - ax
+        dy = x[..., 1:2] - ay
+        return np.sqrt(dx * dx + dy * dy + dz2)
 
     return NonlinearSSM(
         state_dim=2,

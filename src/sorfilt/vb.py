@@ -20,7 +20,6 @@ from .gaussian import (
     FilterNumericsError,
     JointFactor,
     PredictedMeasurement,
-    SerialUpdateResult,
     _measurement_values,
     _update_parallel,
     innovation,
@@ -145,25 +144,27 @@ def omega_update(W_ii, R_ii, theta, epsilon):
         raise ValueError("R_ii must be > 0")
     if not (th.min(initial=0.5) > 0.0 and th.max(initial=0.5) < 1.0):
         raise ValueError("theta must lie strictly inside (0, 1)")
-    out = _omega_update(w, r, th, eps)
+    out = _omega_from_prior(w, *_omega_constants(r, th, eps))
     return float(out) if out.ndim == 0 else out
 
 
 def _check_w(w: np.ndarray) -> None:
-    # a min/max reduction; a NaN fails every comparison
-    if not (w.min(initial=0.0) >= 0.0 and w.max(initial=0.0) < np.inf):
+    # a min/max reduction; a NaN fails every comparison, and empty W passes
+    if w.size and not (w.min() >= 0.0 and w.max() < np.inf):
         raise ValueError("W_ii must be finite and >= 0")
 
 
-def _omega_update(w, r, th, eps):
-    """omega_update's arithmetic, for arguments that passed its checks."""
-    log_odds_outlier = (
-        0.5 * np.log(eps)
-        + np.log1p(-th)
-        - np.log(th)
-        + w * (1.0 - eps) / (2.0 * r)
-    )
-    return expit(-log_odds_outlier)
+def _omega_constants(r, th, eps):
+    """omega_update's constants, which a VB step computes once: the prior
+    log-odds of an outlier 0.5 log eps + log1p(-th) - log th, 1 - eps, 2 R."""
+    return 0.5 * np.log(eps) + np.log1p(-th) - np.log(th), 1.0 - eps, 2.0 * r
+
+
+def _omega_from_prior(w, prior, keep, two_r):
+    """omega_update's arithmetic on W and its constants, for arguments that
+    passed its checks: the same IEEE operations in the same order as the
+    closed form's log-odds, prior + W (1 - eps) / (2 R)."""
+    return expit(-(prior + w * keep / two_r))
 
 
 def effective_precision(indicators, R_diag, epsilon: float) -> np.ndarray:
@@ -186,12 +187,10 @@ def _joint_factor(
 ) -> JointFactor:
     sigma = draw_sigma_points(prediction, params)
     values = eval_sigma_points(sigma, model.meas_fn, model.vectorized)
-    if np.all(sigma.cov_weights >= 0.0):
+    if params.weights(prediction.dim).cov_weights_nonnegative:
         return joint_factor_from_sigma(prediction, sigma, values)
-    mu, cov, cross = moments_from_values(sigma, values)
-    return joint_factor_from_moments(
-        prediction, PredictedMeasurement(mu=mu, U=cov, C=cross)
-    )
+    predmeas = PredictedMeasurement._from_filter(*moments_from_values(sigma, values))
+    return joint_factor_from_moments(prediction, predmeas)
 
 
 def _step_inputs(model: NonlinearSSM, y, variant) -> tuple[np.ndarray, np.ndarray]:
@@ -229,9 +228,9 @@ def _step_update(
     return lambda vinv: (_update_parallel(prediction, predmeas, resid, vinv), None, None)
 
 
-def _posterior(update) -> GaussianBelief:
-    """The checked posterior belief of an update from _step_update."""
-    return update.posterior if isinstance(update, SerialUpdateResult) else update
+def _posterior(update, variant) -> GaussianBelief:
+    """The checked posterior of an update from _step_update of variant."""
+    return update.posterior if variant == "serial" else update
 
 
 def sor_step(
@@ -278,7 +277,9 @@ def sor_step(
 
     forced = force_indicators is not None
     if forced:
-        omega = np.atleast_1d(np.asarray(force_indicators, dtype=float))
+        # a read-only copy: the result must not alias the caller's array
+        omega = np.array(force_indicators, dtype=float, ndmin=1)
+        omega.flags.writeable = False
         if omega.shape != (m,):
             raise ValueError(
                 f"force_indicators shape {omega.shape} does not match ({m},)"
@@ -288,7 +289,7 @@ def sor_step(
             raise ValueError("force_indicators entries must lie in [0, 1]")
         vinv = omega / r_diag
     else:
-        thetas = cfg.thetas(m)
+        constants = _omega_constants(r_diag, cfg.thetas(m), eps)
         vinv = rinv  # omega starts at ones
     mask = model.angular_mask
     angular = np.flatnonzero(mask) if mask is not None else np.empty(0, dtype=int)
@@ -307,7 +308,7 @@ def sor_step(
                 resid[angular] = wrap_angle(resid[angular])
             w = resid**2 + udiag_pp
             _check_w(w)
-            omega = _omega_update(w, r_diag, thetas, eps)
+            omega = _omega_from_prior(w, *constants)
             prev_mean = update.mean
             update, mu_pp, udiag_pp = step_update(_expected_indicator(omega, eps) / r_diag)
 
@@ -318,7 +319,7 @@ def sor_step(
             if denom >= DELTA_DENOM_FLOOR:
                 delta /= denom
             converged = delta <= cfg.tau
-        posterior = _posterior(update)
+        posterior = _posterior(update, variant)
     except FilterNumericsError as exc:
         raise FilterNumericsError(
             f"measurement update failed at VB iteration {iteration}: {exc}"
@@ -337,7 +338,7 @@ def ukf_step(
     checked once, as in sor_step."""
     yv, rinv = _step_inputs(model, y, variant)
     update, _, _ = _step_update(model, prediction, yv, params, variant)(rinv)
-    return _posterior(update)
+    return _posterior(update, variant)
 
 
 def _drive(model, init, measurements, params, step) -> list:

@@ -524,8 +524,8 @@ class TestSerialEqualsSequentialOracle:
     def test_update_that_is_not_in_place_raises(self, monkeypatch):
         # the sweep keeps T and g in one work matrix that dger updates in
         # place; a dger that returns a copy instead would lose every update
-        def copying_dger(*args, **kwargs):
-            return scipy.linalg.blas.dger(*args, **{**kwargs, "overwrite_a": False})
+        def copying_dger(alpha, x, y, incx, incy, a, *flags):
+            return scipy.linalg.blas.dger(alpha, x, y, incx, incy, a, overwrite_a=False)
 
         monkeypatch.setattr(sorfilt.gaussian, "dger", copying_dger)
         belief, predmeas = _random_joint_instance(np.random.default_rng(17), 2, 3)

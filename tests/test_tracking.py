@@ -133,6 +133,31 @@ class TestTurnTransition:
         for state, row in zip(states, batch):
             assert turn_transition(state, cfg).tobytes() == row.tobytes()
 
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(-2e4, 2e4),
+                st.floats(-50.0, 50.0),
+                st.floats(-2e4, 2e4),
+                st.floats(-50.0, 50.0),
+                st.one_of(st.sampled_from(_EDGE_OMEGAS), st.floats(-3.0, 3.0)),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        dt=st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_batch_equals_a_row_by_row_move_bit_for_bit(self, rows, dt):
+        # the batch runs on the transposed (5, N) layout; each row moved as a
+        # batch of one, and the batch as a (1, N, 5) stack, give the same bits
+        states = np.array(rows)
+        cfg = TurnModelConfig(dt=dt)
+        batch = turn_transition(states, cfg)
+        assert batch.shape == states.shape and batch.flags.c_contiguous
+        rows_moved = np.concatenate([turn_transition(s[None, :], cfg) for s in states])
+        assert batch.tobytes() == rows_moved.tobytes()
+        assert turn_transition(states[None], cfg).tobytes() == batch.tobytes()
+
     @pytest.mark.parametrize(
         "state,warning",
         [

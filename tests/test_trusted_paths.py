@@ -1,0 +1,175 @@
+"""A step's hoisted constants and trusted constructors against the checked
+public paths: the same bits, and the same verdicts where a check stays."""
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+import sorfilt.vb
+from sorfilt import (
+    GaussianBelief,
+    NonlinearSSM,
+    PredictedMeasurement,
+    SensorField,
+    TRACKING_X0,
+    UTParams,
+    joint_factor_from_moments,
+    make_synthetic_dataset,
+    make_tracking_model,
+    omega_update,
+    predict_measurement,
+    process_noise_cov,
+    uwb_measurement_model,
+)
+from sorfilt.gaussian import _check_vinv, _update_parallel
+from sorfilt.tracking import TurnModelConfig
+from sorfilt.unscented import draw_sigma_points, eval_sigma_points, moments_from_values
+
+
+def _random_spd(rng, n, scale=1.0):
+    base = rng.standard_normal((n, n))
+    return base @ base.T + scale * np.eye(n)
+
+
+def _eye_update(belief, predmeas, resid, vinv):
+    """The parallel update with I + U diag(vinv) formed through np.eye."""
+    cd = predmeas.C * vinv
+    s = np.eye(predmeas.meas_dim) + predmeas.U * vinv
+    gain = np.linalg.solve(s.T, cd.T).T
+    mean = belief.mean + gain @ resid
+    cov = belief.cov - predmeas.C @ gain.T
+    return GaussianBelief._from_filter(mean, cov, "updated cov")
+
+
+def _uwb_case():
+    anchors, _ = make_synthetic_dataset(seed=3, num_steps=2)
+    return uwb_measurement_model(anchors), GaussianBelief([4.0, 3.0], 0.5 * np.eye(2))
+
+
+def _tracking_case():
+    model = make_tracking_model(SensorField.lattice(3), TurnModelConfig())
+    p0 = 100.0 * process_noise_cov(TurnModelConfig())
+    return model, GaussianBelief(TRACKING_X0 + [5.0, 0.1, -5.0, 0.1, 0.01], p0)
+
+
+def _overflowing_case():
+    """Finite images whose squared deviations overflow."""
+    model = NonlinearSSM(
+        state_dim=1,
+        meas_dim=1,
+        process_fn=lambda x: x,
+        meas_fn=lambda x: 1e200 * np.asarray(x),
+        process_cov=np.eye(1),
+        meas_var_diag=np.ones(1),
+    )
+    return model, GaussianBelief(np.zeros(1), np.eye(1))
+
+
+class TestHoistedArithmetic:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 12))
+    def test_update_parallel_equals_the_eye_formulation(self, seed, n, m):
+        # about 30% zero precisions, the rest spread over six decades
+        rng = np.random.default_rng(seed)
+        joint = _random_spd(rng, n + m, 0.5)
+        belief = GaussianBelief(rng.standard_normal(n), joint[:n, :n])
+        predmeas = PredictedMeasurement(
+            mu=rng.standard_normal(m), U=joint[n:, n:], C=joint[:n, n:]
+        )
+        vinv = 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+        vinv[rng.random(m) < 0.3] = 0.0
+        resid = rng.standard_normal(m)
+        got = _update_parallel(belief, predmeas, resid, vinv)
+        want = _eye_update(belief, predmeas, resid, vinv)
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.cov, want.cov)
+
+    @given(
+        w=st.lists(
+            st.one_of(
+                st.just(0.0),
+                # every scale up to values at which omega underflows to 0
+                st.builds(lambda e: 10.0**e, st.floats(-8.0, 12.0)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        theta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        r=st.floats(1e-6, 1e6),
+    )
+    def test_omega_from_hoisted_constants_equals_omega_update(self, w, theta, eps, r):
+        w = np.array(w)
+        r_diag = np.full(w.size, r)
+        thetas = np.full(w.size, theta)
+        constants = sorfilt.vb._omega_constants(r_diag, thetas, eps)
+        got = sorfilt.vb._omega_from_prior(w, *constants)
+        assert got.tobytes() == omega_update(w, r_diag, thetas, eps).tobytes()
+
+
+class TestTrustedPredictedMeasurement:
+    @pytest.mark.parametrize("case", [_uwb_case, _tracking_case])
+    def test_equals_the_checked_constructor_bit_for_bit(self, case):
+        model, belief = case()
+        params = UTParams()
+        got = predict_measurement(model, belief, params)
+        sigma = draw_sigma_points(belief, params)
+        values = eval_sigma_points(sigma, model.meas_fn, model.vectorized)
+        want = PredictedMeasurement(*moments_from_values(sigma, values))
+        for name in ("mu", "U", "C"):
+            assert getattr(got, name).shape == getattr(want, name).shape
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_overflowing_moments_still_raise(self):
+        model, belief = _overflowing_case()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="predicted measurement contains non-finite"):
+                predict_measurement(model, belief, UTParams())
+
+
+class TestCachedWeightVerdict:
+    def test_default_weights_are_nonnegative(self):
+        assert UTParams().weights(2).cov_weights_nonnegative is True
+
+    def test_negative_centre_weight_takes_the_moment_fallback(self, monkeypatch):
+        params = UTParams(alpha=0.5)
+        weights = params.weights(2)
+        assert weights.cov_weights[0] < 0.0
+        assert weights.cov_weights_nonnegative is False
+
+        def refuse(*args):
+            raise AssertionError("the sigma factor needs nonnegative weights")
+
+        monkeypatch.setattr(sorfilt.vb, "joint_factor_from_sigma", refuse)
+        model, belief = _uwb_case()
+        factor = sorfilt.vb._joint_factor(model, belief, params)
+        sigma = draw_sigma_points(belief, params)
+        values = eval_sigma_points(sigma, model.meas_fn, model.vectorized)
+        want = joint_factor_from_moments(
+            belief, PredictedMeasurement(*moments_from_values(sigma, values))
+        )
+        assert np.array_equal(factor.Ex, want.Ex)
+        assert np.array_equal(factor.Ez, want.Ez)
+        assert np.array_equal(factor.mu, want.mu)
+
+    def test_fallback_moments_that_overflow_raise(self):
+        model, belief = _overflowing_case()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="predicted measurement contains non-finite"):
+                sorfilt.vb._joint_factor(model, belief, UTParams(alpha=0.5))
+
+
+class TestReductionsWithoutInitial:
+    # the min/max checks of W and vinv take no initial= value; an empty
+    # vector must still pass and a scalar must still be checked
+    def test_empty_vectors_pass(self):
+        assert omega_update(np.empty(0), 1.0, 0.5, 1e-6).shape == (0,)
+        assert _check_vinv(np.empty(0), 0).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+    def test_scalar_and_vector_entries_are_checked(self, bad):
+        with pytest.raises(ValueError, match="W_ii must be finite and >= 0"):
+            omega_update(bad, 1.0, 0.5, 1e-6)
+        with pytest.raises(ValueError, match="Vinv_diag entries must be finite"):
+            _check_vinv(bad, 1)
+        with pytest.raises(ValueError, match="Vinv_diag entries must be finite"):
+            _check_vinv(np.array([1.0, bad]), 2)

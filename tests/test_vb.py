@@ -1,11 +1,14 @@
 """Indicator posterior updates and the alternating VB measurement step."""
 
 import dataclasses
+import importlib.util
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sorfilt.gaussian
 import sorfilt.model
 import sorfilt.vb
 from sorfilt import (
@@ -384,6 +387,66 @@ class TestSorStep:
         )
         assert np.array_equal(result.indicators.omega, forced)
 
+    @pytest.mark.parametrize("variant", ["parallel", "serial"])
+    def test_forced_indicators_are_copied_and_read_only(self, variant):
+        rng = np.random.default_rng(26)
+        model = _linear_model(rng.standard_normal((3, 2)), np.ones(3))
+        prediction = GaussianBelief(np.zeros(2), np.eye(2))
+        forced = np.array([0.0, 1.0, 0.25])
+        result = sor_step(
+            model, prediction, np.ones(3), IndicatorConfig(), UTParams(),
+            variant, force_indicators=forced,
+        )
+        forced[:] = 0.5
+        assert np.array_equal(result.indicators.omega, [0.0, 1.0, 0.25])
+        assert not result.indicators.omega.flags.writeable
+
+    def test_forced_run_results_do_not_alias_the_callers_array(self):
+        model = _linear_model(np.eye(2), np.ones(2))
+        init = GaussianBelief(np.zeros(2), np.eye(2))
+        ys = [Measurement(k + 1, np.full(2, float(k))) for k in range(3)]
+        forced = np.array([1.0, 0.5])
+        results = sor_filter_run(
+            model, init, ys, IndicatorConfig(), UTParams(), force_indicators=forced
+        )
+        forced[:] = 0.0
+        for result in results:
+            assert np.array_equal(result.indicators.omega, [1.0, 0.5])
+            assert not result.indicators.omega.flags.writeable
+
+    def test_serial_result_of_another_class_is_built_into_a_checked_posterior(
+        self, monkeypatch
+    ):
+        # a second copy of the gaussian module has its own SerialUpdateResult
+        # class; the step decides by its variant, not by the result's class
+        path = sorfilt.gaussian.__file__
+        spec = importlib.util.spec_from_file_location("sorfilt._gaussian_copy", path)
+        copy = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, copy)
+        spec.loader.exec_module(copy)
+        assert copy.SerialUpdateResult is not sorfilt.gaussian.SerialUpdateResult
+        seen = []
+
+        def foreign(*args):
+            seen.append(copy.serial_conditioning(*args))
+            return seen[-1]
+
+        rng = np.random.default_rng(27)
+        h = rng.standard_normal((3, 2))
+        model = _linear_model(h, np.full(3, 0.5))
+        prediction = GaussianBelief(rng.standard_normal(2), _random_spd(rng, 2))
+        y = h @ prediction.mean + rng.standard_normal(3)
+        cfg, params = IndicatorConfig(), UTParams()
+        native = sor_step(model, prediction, y, cfg, params, "serial")
+        monkeypatch.setattr(sorfilt.vb, "serial_conditioning", foreign)
+        posterior = sor_step(model, prediction, y, cfg, params, "serial").posterior
+        assert type(posterior) is GaussianBelief
+        root = seen[-1].root
+        assert np.array_equal(posterior.cov, sorfilt.model.symmetrize(root @ root.T))
+        assert np.array_equal(posterior.root, np.linalg.cholesky(posterior.cov))
+        assert np.array_equal(posterior.mean, native.posterior.mean)
+        assert np.array_equal(posterior.cov, native.posterior.cov)
+
     def test_variant_equivalence_on_linear_models(self):
         rng = np.random.default_rng(5)
         cfg = IndicatorConfig()
@@ -415,16 +478,16 @@ class TestSorStep:
     def test_returned_omega_is_the_public_omega_update_bit_for_bit(
         self, variant, monkeypatch
     ):
-        # the loop calls omega_update's body with the W it built; record W
-        # there, once per VB iteration
+        # the loop calls omega_update's body, with the step's constants, on
+        # the W it built; record W there, once per VB iteration
         seen = []
-        body = sorfilt.vb._omega_update
+        body = sorfilt.vb._omega_from_prior
 
-        def recording(w, r, theta, eps):
-            seen.append((np.array(w), r, theta, eps))
-            return body(w, r, theta, eps)
+        def recording(w, *constants):
+            seen.append(np.array(w))
+            return body(w, *constants)
 
-        monkeypatch.setattr(sorfilt.vb, "_omega_update", recording)
+        monkeypatch.setattr(sorfilt.vb, "_omega_from_prior", recording)
         public = omega_update
         rng = np.random.default_rng(21)
         h = rng.standard_normal((4, 2))
@@ -434,8 +497,9 @@ class TestSorStep:
         y[1] += 40.0
         result = sor_step(model, prediction, y, IndicatorConfig(), UTParams(), variant)
         assert len(seen) == result.iterations
-        w, r, theta, eps = seen[-1]
-        assert np.array_equal(result.indicators.omega, public(w, r, theta, eps))
+        cfg = IndicatorConfig()
+        expected = public(seen[-1], model.meas_var_diag, cfg.theta_prior, cfg.epsilon)
+        assert np.array_equal(result.indicators.omega, expected)
 
     def test_serial_covariance_failure_names_the_final_vb_iteration(self, monkeypatch):
         rng = np.random.default_rng(22)
