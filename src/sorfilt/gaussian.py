@@ -1,6 +1,9 @@
 """Gaussian filter steps: prediction, Woodbury-form parallel update, and an
 exact serial update for diagonal effective noise that conditions a square-root
-joint factor on one scalar at a time, in four BLAS calls per dimension."""
+joint factor.  An angular-free measurement vector is conditioned as one block
+in the factor's latent space (one Cholesky and one triangular solve); a vector
+with a bearing is swept one scalar at a time, in four BLAS calls per
+dimension, so that each bearing wraps against the partly conditioned mean."""
 
 from __future__ import annotations
 
@@ -10,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dger
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .model import (
     FilterNumericsError,
@@ -261,11 +265,14 @@ class SerialUpdateResult:
 def serial_conditioning(
     factor: JointFactor, y, vinv_diag, angular_mask=None
 ) -> SerialUpdateResult:
-    """Condition the joint factor on each scalar y_i in turn.
+    """Condition the joint factor on y with diagonal noise precisions vinv.
 
-    Each pass applies a Potter-style rank-1 square-root update with additive
-    noise v_i = 1 / vinv_i to an r x r transform T and an r-vector g, so a
-    sweep over the r = 2n+1 factor columns costs O(m r^2).  T and g share one
+    Without an angular dimension (angular_mask None or all False), all of y
+    is conditioned at once in the factor's latent space, as _latent_block
+    describes.  Otherwise each scalar y_i is conditioned in turn: each pass
+    applies a Potter-style rank-1 square-root update with additive noise
+    v_i = 1 / vinv_i to an r x r transform T and an r-vector g, so a sweep
+    over the r = 2n+1 factor columns costs O(m r^2).  T and g share one
     work matrix [T | g], and a dimension costs four BLAS calls: a gemv for
     phi = T^T e_i and e_i . g, a dot for s = phi . phi + v_i, a gemv for
     u = T phi, and one dger for T -= gamma / s u phi^T and g += u resid / s,
@@ -277,9 +284,10 @@ def serial_conditioning(
     m = factor.mu.size
     vinv = _check_vinv(vinv_diag, m)
     yv = _measurement_values(y, m)
-    angular = (
-        [False] * m if angular_mask is None else _check_angular(angular_mask, m).tolist()
-    )
+    mask = None if angular_mask is None else _check_angular(angular_mask, m)
+    if mask is None or not mask.any():
+        return _latent_block(factor, yv, vinv)
+    angular = mask.tolist()
 
     # Python floats for scalars, and ndarray.dot into buffers made once per
     # call: the same results as numpy scalars and @, with less overhead.
@@ -315,6 +323,56 @@ def serial_conditioning(
     )
 
 
+def _latent_block(
+    factor: JointFactor, yv: np.ndarray, vinv: np.ndarray
+) -> SerialUpdateResult:
+    """Condition the factor on all of y at once, for checked yv and vinv and
+    no angular dimension.
+
+    The factor says x = mean_x + Ex xi and z = mu + Ez xi with xi ~ N(0, I_r).
+    Given y = z + v, xi has precision L = I + Ez^T Vinv Ez = C C^T and mean
+    g = L^-1 Ez^T Vinv (y - mu).  One triangular solve gives
+    Q = C^-1 [Ez^T Vinv (y - mu) | Ez^T | Ex^T], so that Q[:, 0] @ Q[:, 1:]
+    is [Ez g, Ex g], the column sums of Q[:, 1:m+1]^2 are diag(Ez L^-1 Ez^T)
+    and root = Q[:, m+1:]^T has root root^T = Ex L^-1 Ex^T.  Zero precisions
+    drop out of L and of the right-hand side.  Each LAPACK call takes its
+    arguments positionally.
+    """
+    ez, ex = factor.Ez, factor.Ex
+    m, r = ez.shape
+    dw = ez.T * vinv  # Ez^T Vinv
+    lam = dw @ ez
+    lam.flat[:: r + 1] += 1.0
+    # OpenBLAS's dpotrf factors inf and NaN entries without complaint
+    if not np.isfinite(lam).all():
+        raise FilterNumericsError("non-finite latent precision I + Ez^T Vinv Ez")
+    # (a, lower, clean): only the lower triangle is read or written
+    chol, info = dpotrf(lam, 1, 0)
+    if info != 0:
+        raise FilterNumericsError(
+            f"latent precision I + Ez^T Vinv Ez not positive definite (info {info})"
+        )
+    rhs = np.empty((1 + m + ex.shape[0], r))  # rows of the right-hand side
+    rhs[0] = dw @ (yv - factor.mu)
+    rhs[1 : m + 1] = ez
+    rhs[m + 1 :] = ex
+    qt = rhs  # an empty latent space (r = 0) is left as it is
+    if r:
+        # (a, b, lower, trans, unitdiag, lda, overwrite_b); rhs.T is Fortran-ordered
+        q, info = dtrtrs(chol, rhs.T, 1, 0, 0, r, 1)
+        if info != 0:
+            raise FilterNumericsError(f"latent triangular solve failed (info {info})")
+        qt = q.T  # Q^T, row by row as rhs
+    qz = qt[1 : m + 1]
+    shift = qt[1:] @ qt[0]  # [Ez g, Ex g]
+    return SerialUpdateResult(
+        mean=factor.mean_x + shift[m:],
+        root=qt[m + 1 :],
+        mu_post=factor.mu + shift[:m],
+        udiag_post=np.einsum("ij,ij->i", qz, qz),
+    )
+
+
 def update_serial(
     belief_pred: GaussianBelief,
     predmeas: PredictedMeasurement,
@@ -322,7 +380,9 @@ def update_serial(
     vinv_diag,
     angular_mask=None,
 ) -> SerialUpdateResult:
-    """Serial scalar conditioning; equals update_parallel in exact arithmetic."""
+    """serial_conditioning of the dense joint's factor: one latent block, or
+    the scalar sweep when a dimension is angular; equals update_parallel in
+    exact arithmetic."""
     factor = joint_factor_from_moments(belief_pred, predmeas)
     return serial_conditioning(factor, y, vinv_diag, angular_mask)
 

@@ -253,7 +253,9 @@ def sor_step(
     ordered.  "parallel" (sor) runs a fresh unscented transform of h about
     each posterior; "serial" (msor) reads the conditioned joint moments of
     the one sigma-point factor built per step.  That difference, not
-    rounding, is why their RMSE differs.
+    rounding, is why their RMSE differs.  serial_conditioning conditions
+    that factor as one latent-space block when the model has no angular
+    dimension, and sweeps it one dimension at a time when it has.
 
     The step's inputs are checked once, at entry: the variant, y's shape,
     the theta_prior length and force_indicators; NonlinearSSM has checked

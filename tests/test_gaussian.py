@@ -1,5 +1,7 @@
 """Gaussian predict/update steps, serial conditioning, angle wrapping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg.blas
@@ -478,6 +480,22 @@ class TestSerialAngleWrapCrossing:
         assert abs(once[0] - res.mean[0]) > 1.0
 
 
+def _random_factor(rng, n, r, m):
+    return JointFactor(
+        mean_x=rng.standard_normal(n),
+        mu=rng.standard_normal(m),
+        Ex=rng.standard_normal((n, r)),
+        Ez=rng.standard_normal((m, r)),
+    )
+
+
+def _random_precisions(rng, m):
+    # about 30% zero precisions, the rest spread over six decades
+    vinv = 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+    vinv[rng.random(m) < 0.3] = 0.0
+    return vinv
+
+
 class TestSerialEqualsSequentialOracle:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -486,18 +504,11 @@ class TestSerialEqualsSequentialOracle:
         m=st.integers(1, 40),
     )
     def test_random_factors(self, seed, n, r, m):
-        # about 30% zero precisions, the rest spread over six decades; about
-        # 30% of the dimensions angular, with residuals up to two turns from
-        # the mean, so most of them wrap
+        # about 30% of the dimensions angular, with residuals up to two turns
+        # from the mean, so most of them wrap
         rng = np.random.default_rng(seed)
-        factor = JointFactor(
-            mean_x=rng.standard_normal(n),
-            mu=rng.standard_normal(m),
-            Ex=rng.standard_normal((n, r)),
-            Ez=rng.standard_normal((m, r)),
-        )
-        vinv = 10.0 ** rng.uniform(-3.0, 3.0, size=m)
-        vinv[rng.random(m) < 0.3] = 0.0
+        factor = _random_factor(rng, n, r, m)
+        vinv = _random_precisions(rng, m)
         angular = rng.random(m) < 0.3
         y = factor.mu + 3.0 * rng.standard_normal(m)
         y[angular] += 2.0 * np.pi * rng.integers(-2, 3, size=int(angular.sum()))
@@ -529,8 +540,138 @@ class TestSerialEqualsSequentialOracle:
 
         monkeypatch.setattr(sorfilt.gaussian, "dger", copying_dger)
         belief, predmeas = _random_joint_instance(np.random.default_rng(17), 2, 3)
+        # one angular dimension, so that the sweep runs rather than the block
+        angular = np.array([True, False, False])
         with pytest.raises(RuntimeError, match="copy"):
-            update_serial(belief, predmeas, np.zeros(3), np.ones(3))
+            update_serial(belief, predmeas, np.zeros(3), np.ones(3), angular)
+
+
+class TestLatentBlock:
+    """Without an angular dimension, serial_conditioning conditions all of y
+    at once in the factor's latent space."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        r=st.integers(1, 12),
+        m=st.integers(1, 40),
+    )
+    def test_block_equals_sequential_oracle(self, seed, n, r, m):
+        rng = np.random.default_rng(seed)
+        factor = _random_factor(rng, n, r, m)
+        vinv = _random_precisions(rng, m)
+        y = factor.mu + 3.0 * rng.standard_normal(m)
+        stacked = np.vstack([factor.Ex, factor.Ez])
+        mean, cond = _sequential_dense_conditioning(
+            np.concatenate([factor.mean_x, factor.mu]),
+            stacked @ stacked.T,
+            n, y, vinv, np.zeros(m, bool),
+        )
+
+        res = serial_conditioning(factor, y, vinv)
+        # the oracle test's tolerances: 1e-10 relative to the prior's scale
+        tol_cov, tol_mean = 1e-10 * r, 1e-10 * (1.0 + 3.0 * np.sqrt(r))
+        assert np.allclose(res.mean, mean[:n], rtol=0.0, atol=tol_mean)
+        assert np.allclose(res.mu_post, mean[n:], rtol=0.0, atol=tol_mean)
+        assert np.allclose(res.root @ res.root.T, cond[:n, :n], rtol=0.0, atol=tol_cov)
+        assert np.allclose(res.udiag_post, np.diag(cond)[n:], rtol=0.0, atol=tol_cov)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        r=st.integers(1, 12),
+        m=st.integers(0, 40),
+    )
+    def test_all_zero_precisions_return_the_prior(self, seed, n, r, m):
+        rng = np.random.default_rng(seed)
+        factor = _random_factor(rng, n, r, m)
+        res = serial_conditioning(factor, 3.0 * rng.standard_normal(m), np.zeros(m))
+        assert np.allclose(res.mean, factor.mean_x, rtol=1e-12, atol=0.0)
+        assert np.allclose(res.mu_post, factor.mu, rtol=1e-12, atol=0.0)
+        assert np.allclose(
+            res.root @ res.root.T, factor.Ex @ factor.Ex.T, rtol=1e-12, atol=1e-12
+        )
+        assert np.allclose(
+            res.udiag_post, (factor.Ez**2).sum(axis=1), rtol=1e-12, atol=0.0
+        )
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        r=st.integers(1, 12),
+        m=st.integers(1, 40),
+    )
+    def test_block_equals_sweep_when_no_residual_wraps(self, seed, n, r, m):
+        # a mask with angular dimensions sends the call to the sweep; with
+        # every residual within +-pi/2 of the partly conditioned mean,
+        # wrapping is the identity and the two paths condition the same
+        # Gaussian on the same values
+        rng = np.random.default_rng(seed)
+        factor = _random_factor(rng, n, r, m)
+        factor = dataclasses.replace(factor, Ez=0.2 * factor.Ez)
+        vinv = _random_precisions(rng, m)
+        y = factor.mu + 0.3 * rng.standard_normal(m)
+        angular = rng.random(m) < 0.5
+        assume(angular.any())
+        stacked = np.vstack([factor.Ex, factor.Ez])
+        margins = []
+        _sequential_dense_conditioning(
+            np.concatenate([factor.mean_x, factor.mu]),
+            stacked @ stacked.T,
+            n, y, vinv, angular, margins,
+        )
+        assume(min(margins, default=np.pi) > np.pi / 2)
+
+        block = serial_conditioning(factor, y, vinv)
+        sweep = serial_conditioning(factor, y, vinv, angular)
+        # both are within the oracle's 1e-10 of the prior's scale, so within
+        # twice that of each other
+        tol_cov, tol_mean = 2e-10 * r, 2e-10 * (1.0 + 3.0 * np.sqrt(r))
+        assert np.allclose(block.mean, sweep.mean, rtol=0.0, atol=tol_mean)
+        assert np.allclose(block.mu_post, sweep.mu_post, rtol=0.0, atol=tol_mean)
+        assert np.allclose(
+            block.root @ block.root.T, sweep.root @ sweep.root.T, rtol=0.0, atol=tol_cov
+        )
+        assert np.allclose(block.udiag_post, sweep.udiag_post, rtol=0.0, atol=tol_cov)
+
+    @pytest.mark.parametrize("angular", [None, [False, False, False]])
+    def test_angular_free_vector_makes_no_sweep(self, monkeypatch, angular):
+        def no_dger(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(sorfilt.gaussian, "dger", no_dger)
+        factor = _random_factor(np.random.default_rng(18), 2, 5, 3)
+        res = serial_conditioning(factor, np.zeros(3), np.ones(3), angular)
+        assert res.udiag_post.shape == (3,)
+
+    def test_empty_latent_space_returns_the_prior(self):
+        # a factor with no columns is a point prediction: y moves nothing
+        factor = JointFactor(
+            mean_x=np.array([1.0, 2.0]), mu=np.array([3.0, 4.0, 5.0]),
+            Ex=np.zeros((2, 0)), Ez=np.zeros((3, 0)),
+        )
+        res = serial_conditioning(factor, np.zeros(3), np.ones(3))
+        assert np.array_equal(res.mean, factor.mean_x)
+        assert np.array_equal(res.mu_post, factor.mu)
+        assert res.root.shape == (2, 0)
+        assert np.array_equal(res.udiag_post, np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "value, vinv",
+        [
+            # Ez^T Vinv Ez overflows; OpenBLAS's Cholesky would factor the
+            # inf and return finite-looking variances
+            (1e200, [1.0, 1.0]),
+            # a NaN in a dimension with zero precision: 0 * NaN is NaN
+            (np.nan, [0.0, 1.0]),
+        ],
+    )
+    def test_non_finite_latent_precision_raises_numerics_error(self, value, vinv):
+        factor = _random_factor(np.random.default_rng(19), 2, 3, 2)
+        factor.Ez[0, 0] = value
+        with np.errstate(over="ignore"):
+            with pytest.raises(FilterNumericsError, match="non-finite latent precision"):
+                serial_conditioning(factor, np.zeros(2), np.array(vinv))
 
 
 class TestSerialUpdateResult:

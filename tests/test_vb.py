@@ -526,6 +526,21 @@ class TestSorStep:
         assert f"VB iteration {clean.iterations}:" in str(info.value)
         assert "updated cov" in str(info.value)
 
+    def test_overflowing_latent_precision_names_vb_iteration_zero(self):
+        # a measurement map with entries near 1e200 gives a finite joint
+        # factor whose latent precision I + Ez^T Vinv Ez overflows
+        rng = np.random.default_rng(23)
+        h = rng.standard_normal((3, 2))
+        h[0] *= 1e200
+        model = _linear_model(h, np.full(3, 0.5))
+        prediction = GaussianBelief(rng.standard_normal(2), _random_spd(rng, 2))
+        y = h @ prediction.mean
+        with np.errstate(over="ignore"):
+            with pytest.raises(FilterNumericsError) as info:
+                sor_step(model, prediction, y, IndicatorConfig(), UTParams(), "serial")
+        assert "VB iteration 0:" in str(info.value)
+        assert "non-finite latent precision" in str(info.value)
+
     def test_posterior_predictive_failure_names_its_vb_iteration(self, monkeypatch):
         rng = np.random.default_rng(21)
         h = rng.standard_normal((4, 2))
