@@ -1,4 +1,4 @@
-"""Command line interface: simulate, uwb, bench, check."""
+"""Command line interface: simulate, uwb, bench."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from .harness import (
     ScenarioConfig,
     _check_m_values,
     bench_runtime,
-    invariant_checks,
     run_sweep,
     run_uwb_experiment,
 )
@@ -133,20 +132,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    results = invariant_checks()
-    failed = 0
-    for result in results:
-        status = "OK" if result.ok else "FAIL"
-        line = f"[{status}] {result.name}"
-        if not result.ok:
-            line += f": {result.detail}"
-            failed += 1
-        print(line)
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sorfilt",
@@ -173,9 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--m", default="200,400,800", help="comma-separated m values")
     bench.add_argument("--steps", type=int, help="trajectory length per run")
     bench.set_defaults(fn=_cmd_bench)
-
-    check = sub.add_parser("check", help="fast invariant self-test battery")
-    check.set_defaults(fn=_cmd_check)
     return parser
 
 

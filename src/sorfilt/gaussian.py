@@ -278,7 +278,9 @@ def serial_conditioning(
     u = T phi, and one dger for T -= gamma / s u phi^T and g += u resid / s,
     gamma = 1 / (1 + sqrt(v_i / s)), with all nine arguments positional.
     Angular residuals are wrapped against the partly conditioned mean;
-    entries with vinv_i = 0 are skipped.  Every call checks its inputs.
+    entries with vinv_i = 0, or so small (below about 5.6e-309) that v_i
+    overflows, are skipped, and an innovation variance s that is not finite
+    and positive raises FilterNumericsError.  Every call checks its inputs.
     """
     r = factor.Ex.shape[1]
     m = factor.mu.size
@@ -298,11 +300,14 @@ def serial_conditioning(
     phi, u = proj[:r], np.empty(r)
     for i in vinv.nonzero()[0].tolist():
         v = 1.0 / vl[i]
+        if v == math.inf:  # a subnormal precision
+            continue
         work.dot(ez[i], proj)
         s = float(phi.dot(phi)) + v
-        if s <= 0.0:
+        if not 0.0 < s < math.inf:  # a NaN fails this too
             raise FilterNumericsError(
-                f"non-positive innovation variance for measurement dimension {i}"
+                f"non-finite or non-positive innovation variance {s} "
+                f"for measurement dimension {i}"
             )
         resid = yl[i] - (mu[i] + proj.item(r))
         if angular[i]:

@@ -15,29 +15,19 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .gaussian import PredictedMeasurement, update_parallel, update_serial, wrap_angle
 from .model import GaussianBelief, Measurement, chol_lower
 from .tracking import (
     TRACKING_X0,
     CorruptionConfig,
     SensorField,
     TurnModelConfig,
-    clean_measurement,
     make_tracking_model,
     process_noise_cov,
     simulate_trajectory,
-    turn_transition,
 )
-from .unscented import UTParams, draw_sigma_points, unscented_moments
+from .unscented import UTParams
 from .uwb import make_synthetic_dataset, load_dataset, run_localization
-from .vb import (
-    FILTER_NAMES,
-    IndicatorBelief,
-    IndicatorConfig,
-    effective_precision,
-    omega_update,
-    run_filter,
-)
+from .vb import FILTER_NAMES, IndicatorConfig, run_filter
 
 # each sweep axis and the ScenarioConfig field it sets
 SWEEP_AXES = {"lam": "lam", "gamma": "gamma_law"}
@@ -439,108 +429,3 @@ def run_uwb_experiment(cfg: ScenarioConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "uwb_report.json").write_text(json.dumps(report, indent=2))
     return report
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
-
-
-def invariant_checks() -> list[CheckResult]:
-    """Fast self-test battery behind the `check` CLI subcommand."""
-    checks: list[CheckResult] = []
-
-    def record(name: str, fn) -> None:
-        try:
-            fn()
-            checks.append(CheckResult(name, True, "ok"))
-        except Exception as exc:  # noqa: BLE001 - reported, not raised
-            checks.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
-
-    def check_sigma_points():
-        belief = GaussianBelief([0.0], [[1.0]])
-        sigma = draw_sigma_points(belief, UTParams())
-        assert np.allclose(sorted(sigma.points[:, 0]), [-1.0, 0.0, 1.0])
-        assert np.allclose(sigma.mean_weights, [0.0, 0.5, 0.5])
-        assert np.allclose(sigma.cov_weights, [2.0, 0.5, 0.5])
-
-    def check_affine_exactness():
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal(3)
-        base = rng.standard_normal((3, 3))
-        cov = base @ base.T + 3.0 * np.eye(3)
-        mean = rng.standard_normal(3)
-        sigma = draw_sigma_points(GaussianBelief(mean, cov), UTParams())
-        mu, u, _ = unscented_moments(sigma, lambda x: a @ x + b)
-        assert np.allclose(mu, a @ mean + b, atol=1e-9)
-        assert np.allclose(u, a @ cov @ a.T, atol=1e-8)
-
-    def check_scalar_kalman():
-        belief = GaussianBelief([0.0], [[1.0]])
-        predmeas = PredictedMeasurement(mu=[0.0], U=[[1.0]], C=[[1.0]])
-        post = update_parallel(belief, predmeas, [2.0], [1.0])
-        assert np.allclose(post.mean, [1.0], atol=1e-12)
-        assert np.allclose(post.cov, [[0.5]], atol=1e-12)
-
-    def check_serial_matches_parallel():
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(11)))
-        n, m = 4, 7
-        joint_root = rng.standard_normal((n + m, n + m))
-        joint = joint_root @ joint_root.T + 1e-3 * np.eye(n + m)
-        belief = GaussianBelief(rng.standard_normal(n), joint[:n, :n])
-        predmeas = PredictedMeasurement(
-            mu=rng.standard_normal(m), U=joint[n:, n:], C=joint[:n, n:]
-        )
-        vinv = rng.random(m)
-        vinv[2] = 0.0
-        y = rng.standard_normal(m)
-        par = update_parallel(belief, predmeas, y, vinv)
-        ser = update_serial(belief, predmeas, y, vinv)
-        assert np.allclose(par.mean, ser.posterior.mean, rtol=1e-8, atol=1e-10)
-        assert np.allclose(par.cov, ser.posterior.cov, rtol=1e-8, atol=1e-10)
-
-    def check_omega_examples():
-        assert abs(omega_update(0.0, 1.0, 0.5, 1e-6) - 1.0 / (1.0 + 1e-3)) < 1e-12
-        assert omega_update(100.0, 1.0, 0.5, 1e-6) < 1e-18
-        assert abs(omega_update(0.0, 1.0, 0.95, 1e-6) - 0.9999474) < 1e-6
-
-    def check_effective_precision():
-        vinv = effective_precision(IndicatorBelief([1.0, 0.0]), [4.0, 9.0], 1e-6)
-        assert np.allclose(vinv, [0.25, 1e-6 / 9.0], rtol=1e-9)
-
-    def check_turn_model():
-        cfg = TurnModelConfig()
-        out = turn_transition(np.array([0.0, 1.0, 0.0, 1.0, 0.0]), cfg)
-        assert np.allclose(out, [1.0, 1.0, 1.0, 1.0, 0.0])
-        half = turn_transition(np.array([5.0, 2.0, -3.0, 1.0, np.pi]), cfg)
-        assert np.allclose(half[[1, 3]], [-2.0, -1.0], atol=1e-12)
-        q = process_noise_cov(cfg)
-        assert np.all(np.linalg.eigvalsh(q) >= -1e-15)
-
-    def check_sensor_lattice():
-        sensor_field = SensorField.lattice(3)
-        assert np.allclose(
-            sensor_field.bearing_pos, [[0, 350], [350, 0], [700, 350]]
-        )
-        assert np.allclose(sensor_field.range_pos, [[0, 0], [350, 350], [700, 0]])
-        meas = clean_measurement(np.array([100.0, 0.0, 100.0, 0.0, 0.0]), sensor_field)
-        assert meas.shape == (6,)
-
-    def check_wrap_angle():
-        assert wrap_angle(np.pi) == np.pi
-        assert wrap_angle(-np.pi) == np.pi
-        assert abs(wrap_angle(3.0 * np.pi / 2.0) + np.pi / 2.0) < 1e-12
-
-    record("sigma point construction (n=1)", check_sigma_points)
-    record("unscented affine exactness", check_affine_exactness)
-    record("scalar Kalman update", check_scalar_kalman)
-    record("serial/parallel equivalence", check_serial_matches_parallel)
-    record("indicator closed form", check_omega_examples)
-    record("effective precision endpoints", check_effective_precision)
-    record("turn model limits", check_turn_model)
-    record("sensor lattice layout", check_sensor_lattice)
-    record("angle wrapping", check_wrap_angle)
-    return checks

@@ -196,27 +196,6 @@ def sample_gamma(cfg: CorruptionConfig, rng: np.random.Generator) -> float:
     return float(cfg.gamma_law)
 
 
-def corrupt(
-    clean, cfg: CorruptionConfig, rng: np.random.Generator, gamma: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Corrupt one clean measurement vector of m readings.
-
-    Returns (values, flags) where flags marks the dimensions hit this step.
-    gamma should be passed in by trajectory-level callers, which draw it once
-    per run; left as None it is sampled per call.  Draws, in this order: the
-    gamma sample (only when gamma is None and gamma_law is an interval), then
-    rng.random(m) for the flags, then rng.standard_normal(m) for the noise,
-    which is drawn in both modes.
-    """
-    clean = np.atleast_1d(np.asarray(clean, dtype=float))
-    m = clean.size
-    sigmas = nominal_sigmas(cfg, m)
-    if gamma is None:
-        gamma = sample_gamma(cfg, rng)
-    uniforms = rng.random(m)
-    return _corrupt_draws(clean, uniforms, rng.standard_normal(m), sigmas, cfg, gamma)
-
-
 def _corrupt_draws(clean, uniforms, normals, sigmas, cfg: CorruptionConfig, gamma):
     """The corruption formula on drawn uniforms and standard normals; any
     batch shape (..., m) with sigmas of shape (m,)."""

@@ -170,16 +170,6 @@ def _mean_cov_dev(sigma: SigmaPointSet, values: np.ndarray):
     return mu, cov, dev
 
 
-def unscented_moments(
-    sigma: SigmaPointSet,
-    fn: Callable[[np.ndarray], np.ndarray],
-    vectorized: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean, covariance, and input-output cross-covariance of fn under sigma."""
-    values = eval_sigma_points(sigma, fn, vectorized)
-    return moments_from_values(sigma, values)
-
-
 def unscented_mean_vardiag(
     sigma: SigmaPointSet,
     fn: Callable[[np.ndarray], np.ndarray],

@@ -163,24 +163,6 @@ def load_dataset(path) -> tuple[AnchorSet, list[StepRecord]]:
     return anchors, steps
 
 
-def write_dataset(path, anchors: AnchorSet, steps: list[StepRecord]) -> None:
-    """Write the two-file CSV layout understood by load_dataset."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    with (root / ANCHORS_FILE).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "x", "y", "z"])
-        for anchor_id, pos in zip(anchors.ids, anchors.positions):
-            writer.writerow([anchor_id] + [repr(float(v)) for v in pos])
-    with (root / STEPS_FILE).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["step", "truth_x", "truth_y"] + list(anchors.ids))
-        for record in steps:
-            row = [record.step_index, repr(float(record.truth[0])), repr(float(record.truth[1]))]
-            row += ["" if r is None else repr(float(r)) for r in record.ranges]
-            writer.writerow(row)
-
-
 def uwb_measurement_model(anchors: AnchorSet, tag_z: float = 0.0) -> NonlinearSSM:
     """Random-walk position model with per-anchor 3D range measurements."""
     # per model: contiguous anchor coordinates and the squared height gaps

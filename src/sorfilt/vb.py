@@ -107,10 +107,6 @@ class IndicatorBelief:
         object.__setattr__(belief, "omega", omega)
         return belief
 
-    def expected(self, epsilon: float) -> np.ndarray:
-        """Expected indicator <I_i> = omega_i + (1 - omega_i) * eps."""
-        return _expected_indicator(self.omega, epsilon)
-
 
 def _expected_indicator(omega: np.ndarray, epsilon: float) -> np.ndarray:
     """<I_i> = omega_i + (1 - omega_i) * eps, the indicator's mean on {eps, 1}."""
@@ -165,16 +161,6 @@ def _omega_from_prior(w, prior, keep, two_r):
     passed its checks: the same IEEE operations in the same order as the
     closed form's log-odds, prior + W (1 - eps) / (2 R)."""
     return expit(-(prior + w * keep / two_r))
-
-
-def effective_precision(indicators, R_diag, epsilon: float) -> np.ndarray:
-    """Vinv_diag[i] = <I_i> / R_ii with <I_i> = omega_i + (1 - omega_i) eps,
-    for an IndicatorBelief or an omega vector with entries in [0, 1]."""
-    belief = IndicatorBelief(getattr(indicators, "omega", indicators))
-    r = np.atleast_1d(np.asarray(R_diag, dtype=float))
-    if belief.omega.shape != r.shape:
-        raise ValueError("omega and R_diag lengths disagree")
-    return belief.expected(epsilon) / r
 
 
 def _check_variant(variant) -> None:

@@ -63,8 +63,8 @@ def _kalman_oracle(belief, predmeas, y, vinv):
 
 class TestWrapAngle:
     def test_boundary_values(self):
-        assert wrap_angle(np.pi) == pytest.approx(np.pi)
-        assert wrap_angle(-np.pi) == pytest.approx(np.pi)
+        assert wrap_angle(np.pi) == np.pi
+        assert wrap_angle(-np.pi) == np.pi
         assert wrap_angle(0.0) == 0.0
         assert wrap_angle(3.0 * np.pi / 2.0) == pytest.approx(-np.pi / 2.0)
         assert wrap_angle(2.0 * np.pi) == pytest.approx(0.0)
@@ -545,6 +545,18 @@ class TestSerialEqualsSequentialOracle:
         with pytest.raises(RuntimeError, match="copy"):
             update_serial(belief, predmeas, np.zeros(3), np.ones(3), angular)
 
+    def test_overflowing_innovation_variance_raises_numerics_error(self):
+        # phi . phi overflows for dimension 0, so its innovation variance is
+        # inf; the sweep must not return an infinite udiag_post
+        factor = _random_factor(np.random.default_rng(19), 2, 3, 2)
+        factor.Ez[0, 0] = 1e200
+        with np.errstate(over="ignore"):
+            with pytest.raises(
+                FilterNumericsError,
+                match="innovation variance inf for measurement dimension 0",
+            ):
+                serial_conditioning(factor, np.ones(2), np.ones(2), [False, True])
+
 
 class TestLatentBlock:
     """Without an angular dimension, serial_conditioning conditions all of y
@@ -600,12 +612,14 @@ class TestLatentBlock:
         n=st.integers(1, 6),
         r=st.integers(1, 12),
         m=st.integers(1, 40),
+        tiny=st.floats(min_value=5e-324, max_value=5e-309),
     )
-    def test_block_equals_sweep_when_no_residual_wraps(self, seed, n, r, m):
+    def test_block_equals_sweep_when_no_residual_wraps(self, seed, n, r, m, tiny):
         # a mask with angular dimensions sends the call to the sweep; with
         # every residual within +-pi/2 of the partly conditioned mean,
         # wrapping is the identity and the two paths condition the same
-        # Gaussian on the same values
+        # Gaussian on the same values.  About a fifth of the precisions are
+        # subnormal, so small that the noise variance 1 / vinv_i overflows.
         rng = np.random.default_rng(seed)
         factor = _random_factor(rng, n, r, m)
         factor = dataclasses.replace(factor, Ez=0.2 * factor.Ez)
@@ -613,13 +627,15 @@ class TestLatentBlock:
         y = factor.mu + 0.3 * rng.standard_normal(m)
         angular = rng.random(m) < 0.5
         assume(angular.any())
+        vinv[rng.random(m) < 0.2] = tiny
         stacked = np.vstack([factor.Ex, factor.Ez])
         margins = []
-        _sequential_dense_conditioning(
-            np.concatenate([factor.mean_x, factor.mu]),
-            stacked @ stacked.T,
-            n, y, vinv, angular, margins,
-        )
+        with np.errstate(over="ignore"):  # the oracle's 1 / vinv_i
+            _sequential_dense_conditioning(
+                np.concatenate([factor.mean_x, factor.mu]),
+                stacked @ stacked.T,
+                n, y, vinv, angular, margins,
+            )
         assume(min(margins, default=np.pi) > np.pi / 2)
 
         block = serial_conditioning(factor, y, vinv)

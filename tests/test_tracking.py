@@ -14,7 +14,6 @@ from sorfilt import (
     TurnModelConfig,
     chol_lower,
     clean_measurement,
-    corrupt,
     make_tracking_model,
     nominal_sigmas,
     process_noise_cov,
@@ -23,6 +22,7 @@ from sorfilt import (
     turn_transition,
     validate_model,
 )
+from sorfilt.tracking import _corrupt_draws
 
 
 # omega at and around the constant-velocity limit |omega| < 1e-9
@@ -272,12 +272,22 @@ class TestCleanMeasurement:
         assert np.array_equal(batch, rows)
 
 
+def _corrupted(clean, cfg, rng, gamma, rows=None):
+    """(values, flags) of _corrupt_draws, the formula simulate_trajectory
+    corrupts its readings with, on uniforms and standard normals drawn from
+    rng: one corrupted copy of clean, or rows of them."""
+    m = np.size(clean)
+    shape = (m,) if rows is None else (rows, m)
+    uniforms, normals = rng.random(shape), rng.standard_normal(shape)
+    return _corrupt_draws(clean, uniforms, normals, nominal_sigmas(cfg, m), cfg, gamma)
+
+
 class TestCorrupt:
     def test_lambda_zero_is_pure_nominal_noise(self):
         rng = np.random.default_rng(4)
         cfg = CorruptionConfig(mode="outliers", lam=0.0)
         clean = np.zeros(6)
-        draws = np.stack([corrupt(clean, cfg, rng)[0] for _ in range(4000)])
+        draws, _ = _corrupted(clean, cfg, rng, sample_gamma(cfg, rng), rows=4000)
         sigmas = nominal_sigmas(cfg, 6)
         assert np.allclose(draws.mean(axis=0), 0.0, atol=4.0 * sigmas / np.sqrt(4000))
         assert np.allclose(draws.std(axis=0), sigmas, rtol=0.1)
@@ -285,7 +295,7 @@ class TestCorrupt:
     def test_lambda_one_missing_is_all_zeros(self):
         rng = np.random.default_rng(5)
         cfg = CorruptionConfig(mode="missing", lam=1.0)
-        values, flags = corrupt(np.full(6, 7.0), cfg, rng)
+        values, flags = _corrupted(np.full(6, 7.0), cfg, rng, sample_gamma(cfg, rng))
         assert np.array_equal(values, np.zeros(6))
         assert flags.all()
 
@@ -293,30 +303,24 @@ class TestCorrupt:
         rng = np.random.default_rng(6)
         cfg = CorruptionConfig(mode="missing", lam=0.5)
         clean = np.full(6, 100.0)
-        for _ in range(50):
-            values, flags = corrupt(clean, cfg, rng)
-            assert np.all(values[flags] == 0.0)
-            assert np.all(values[~flags] != 100.0)  # noise is continuous
+        values, flags = _corrupted(clean, cfg, rng, sample_gamma(cfg, rng), rows=50)
+        assert np.all(values[flags] == 0.0)
+        assert np.all(values[~flags] != 100.0)  # noise is continuous
 
     def test_corruption_frequency_lambda_03(self):
         rng = np.random.default_rng(7)
         cfg = CorruptionConfig(mode="outliers", lam=0.3, gamma_law=100.0)
-        hits = np.zeros(6)
         trials = 100_000
-        for _ in range(trials):
-            _, flags = corrupt(np.zeros(6), cfg, rng, gamma=100.0)
-            hits += flags
+        _, flags = _corrupted(np.zeros(6), cfg, rng, 100.0, rows=trials)
+        hits = flags.sum(axis=0)
         assert np.all(np.abs(hits / trials - 0.3) <= 0.01)
 
     def test_gamma_one_indistinguishable_from_nominal(self):
         cfg = CorruptionConfig(mode="outliers", lam=0.5, gamma_law=1.0)
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            samples = []
-            for _ in range(17_000):
-                values, _ = corrupt(np.zeros(6), cfg, rng, gamma=1.0)
-                samples.extend(values[3:])  # pool the range dims
-            samples = np.asarray(samples[:100_000])
+            values, _ = _corrupted(np.zeros(6), cfg, rng, 1.0, rows=17_000)
+            samples = values[:, 3:].ravel()[:100_000]  # pool the range dims
             result = stats.kstest(samples, "norm", args=(0.0, cfg.sigma_rho))
             assert result.pvalue > 0.01
 
@@ -324,11 +328,9 @@ class TestCorrupt:
         rng = np.random.default_rng(8)
         gamma = 400.0
         cfg = CorruptionConfig(mode="outliers", lam=0.5, gamma_law=gamma)
-        flagged, clean_hits = [], []
-        for _ in range(20_000):
-            values, flags = corrupt(np.zeros(6), cfg, rng, gamma=gamma)
-            flagged.extend(values[3:][flags[3:]])
-            clean_hits.extend(values[3:][~flags[3:]])
+        values, flags = _corrupted(np.zeros(6), cfg, rng, gamma, rows=20_000)
+        flagged = values[:, 3:][flags[:, 3:]]
+        clean_hits = values[:, 3:][~flags[:, 3:]]
         assert np.std(flagged) == pytest.approx(np.sqrt(gamma) * cfg.sigma_rho, rel=0.05)
         assert np.std(clean_hits) == pytest.approx(cfg.sigma_rho, rel=0.05)
 
@@ -474,20 +476,23 @@ class TestRandomStreams:
     @pytest.mark.parametrize("mode", ["outliers", "missing"])
     @pytest.mark.parametrize("gamma", [None, 300.0])
     def test_corrupt_draw_order(self, mode, gamma):
-        cfg = CorruptionConfig(mode=mode, lam=0.5, gamma_law=(100.0, 1000.0))
-        clean = np.array([0.1, -0.2, 0.3, 40.0, 50.0, 60.0])
+        # gamma None: the interval law, whose gamma is drawn before any step
+        law = (100.0, 1000.0) if gamma is None else gamma
+        cfg = CorruptionConfig(mode=mode, lam=0.5, gamma_law=law)
         sigmas = nominal_sigmas(cfg, 6)
         rng, ref_rng = self._rng(8), self._rng(8)
-        values, flags = corrupt(clean, cfg, rng, gamma)
-        g = sample_gamma(cfg, ref_rng) if gamma is None else gamma
+        traj = simulate_trajectory(TurnModelConfig(), SensorField.lattice(3), cfg, 1, rng)
+        g = sample_gamma(cfg, ref_rng)
+        ref_rng.standard_normal(5)  # the process noise
         hit = ref_rng.random(6) < cfg.lam
         noise = ref_rng.standard_normal(6)
+        clean = traj.clean[0]
         if mode == "outliers":
             expected = clean + np.where(hit, np.sqrt(g) * sigmas, sigmas) * noise
         else:
             expected = np.where(hit, 0.0, clean + sigmas * noise)
-        assert np.array_equal(flags, hit)
-        assert np.array_equal(values, expected)
+        assert np.array_equal(traj.flags[0], hit)
+        assert np.array_equal(traj.measurements[0], expected)
         assert rng.random() == ref_rng.random()
 
 

@@ -14,7 +14,6 @@ from sorfilt import (
     eval_sigma_points,
     moments_from_values,
     unscented_mean_vardiag,
-    unscented_moments,
 )
 
 
@@ -196,21 +195,22 @@ class TestUnscentedMoments:
     def test_identity_map(self):
         belief = GaussianBelief([1.0, 2.0], np.eye(2))
         sigma = draw_sigma_points(belief, UTParams())
-        mu, u, c = unscented_moments(sigma, lambda x: x)
+        mu, u, c = moments_from_values(sigma, eval_sigma_points(sigma, lambda x: x))
         assert np.allclose(mu, [1.0, 2.0])
         assert np.allclose(u, np.eye(2), atol=1e-12)
         assert np.allclose(c, np.eye(2), atol=1e-12)
 
     def test_square_map_matches_standard_normal_moments(self):
         sigma = draw_sigma_points(GaussianBelief([0.0], [[1.0]]), UTParams())
-        mu, u, _ = unscented_moments(sigma, lambda x: x**2)
+        mu, u, _ = moments_from_values(sigma, eval_sigma_points(sigma, lambda x: x**2))
         assert mu[0] == pytest.approx(1.0, abs=1e-12)
         assert u[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_constant_map(self):
         belief = GaussianBelief(np.zeros(3), np.eye(3))
         sigma = draw_sigma_points(belief, UTParams())
-        mu, u, c = unscented_moments(sigma, lambda x: np.array([4.0, -1.0]))
+        values = eval_sigma_points(sigma, lambda x: np.array([4.0, -1.0]))
+        mu, u, c = moments_from_values(sigma, values)
         assert np.allclose(mu, [4.0, -1.0])
         assert np.allclose(u, 0.0)
         assert np.allclose(c, 0.0)
@@ -226,7 +226,8 @@ class TestUnscentedMoments:
             mean = rng.standard_normal(n)
             cov = _random_spd(rng, n)
             sigma = draw_sigma_points(GaussianBelief(mean, cov), UTParams())
-            mu, u, c = unscented_moments(sigma, lambda x: a @ x + b)
+            values = eval_sigma_points(sigma, lambda x: a @ x + b)
+            mu, u, c = moments_from_values(sigma, values)
             assert np.all(
                 np.abs(mu - (a @ mean + b)) <= 1e-10 * (1.0 + np.abs(mean).max())
             )
@@ -242,7 +243,7 @@ class TestUnscentedMoments:
         mean = np.array([0.3, -0.7])
         cov = np.array([[0.04, 0.01], [0.01, 0.09]])
         sigma = draw_sigma_points(GaussianBelief(mean, cov), UTParams())
-        mu_ut, _, _ = unscented_moments(sigma, fn)
+        mu_ut, _, _ = moments_from_values(sigma, eval_sigma_points(sigma, fn))
         for seed in range(5):
             rng = np.random.default_rng(seed)
             samples = rng.multivariate_normal(mean, cov, size=10**6)
@@ -255,7 +256,7 @@ class TestUnscentedMoments:
     def test_cross_cov_shape(self):
         belief = GaussianBelief(np.zeros(4), np.eye(4))
         sigma = draw_sigma_points(belief, UTParams())
-        _, u, c = unscented_moments(sigma, lambda x: x[:2])
+        _, u, c = moments_from_values(sigma, eval_sigma_points(sigma, lambda x: x[:2]))
         assert c.shape == (4, 2)
         assert np.allclose(u, u.T)
         assert np.all(np.linalg.eigvalsh(u) >= -1e-12)
@@ -282,19 +283,6 @@ class TestEvalSigmaPoints:
         with pytest.raises(FilterNumericsError, match="sigma point 1"):
             eval_sigma_points(sigma, fn)
 
-    def test_moments_from_values_matches_unscented_moments(self):
-        rng = np.random.default_rng(4)
-        belief = GaussianBelief(rng.standard_normal(2), _random_spd(rng, 2))
-        sigma = draw_sigma_points(belief, UTParams())
-        fn = lambda x: np.array([x[0] * x[1], x[0] - x[1]])  # noqa: E731
-        values = eval_sigma_points(sigma, fn)
-        assert all(
-            np.array_equal(a, b)
-            for a, b in zip(
-                moments_from_values(sigma, values), unscented_moments(sigma, fn)
-            )
-        )
-
 
 class TestMeanVardiag:
     def test_matches_full_moments_diagonal(self):
@@ -303,7 +291,7 @@ class TestMeanVardiag:
         sigma = draw_sigma_points(belief, UTParams())
         fn = lambda x: np.array([np.sin(x[0]), x[1] * x[2]])  # noqa: E731
         mu_a, var = unscented_mean_vardiag(sigma, fn)
-        mu_b, u, _ = unscented_moments(sigma, fn)
+        mu_b, u, _ = moments_from_values(sigma, eval_sigma_points(sigma, fn))
         assert np.allclose(mu_a, mu_b)
         assert np.allclose(var, np.diag(u), rtol=1e-12, atol=1e-12)
 

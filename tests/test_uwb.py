@@ -15,7 +15,6 @@ from sorfilt import (
     run_localization,
     uwb_measurement_model,
     validate_model,
-    write_dataset,
 )
 from sorfilt.cli import main
 from sorfilt.uwb import DEFAULT_NOISE_VAR
@@ -73,8 +72,15 @@ class TestStepRecord:
 
 class TestDatasetIo:
     def test_round_trip(self, tmp_path):
+        # _toy_dataset in the CSV layout
         anchors, steps = _toy_dataset()
-        write_dataset(tmp_path, anchors, steps)
+        (tmp_path / "anchors.csv").write_text(
+            "id,x,y,z\na,0.0,0.0,2.5\nb,4.0,0.0,2.5\nc,0.0,4.0,3.0\n"
+        )
+        (tmp_path / "steps.csv").write_text(
+            "step,truth_x,truth_y,a,b,c\n"
+            "1,0.5,0.5,1.0,3.5,\n2,1.0,0.5,,3.0,4.25\n3,1.5,0.5,,,\n"
+        )
         loaded_anchors, loaded_steps = load_dataset(tmp_path)
         assert loaded_anchors.ids == anchors.ids
         assert np.array_equal(loaded_anchors.positions, anchors.positions)

@@ -24,7 +24,6 @@ from sorfilt import (
     TurnModelConfig,
     UTParams,
     draw_sigma_points,
-    effective_precision,
     encode_measurements,
     eval_sigma_points,
     innovation,
@@ -47,6 +46,7 @@ from sorfilt import (
     update_parallel,
     uwb_measurement_model,
 )
+from sorfilt.vb import _expected_indicator
 
 
 def _random_spd(rng, n, scale=1.0):
@@ -132,25 +132,22 @@ class TestOmegaUpdate:
 
 
 class TestEffectivePrecision:
+    """<I_i> / R_ii, the precision the VB loop conditions on."""
+
     def test_endpoint_values(self):
-        vinv = effective_precision(IndicatorBelief([1.0, 0.0]), [4.0, 9.0], 1e-6)
+        vinv = _expected_indicator(np.array([1.0, 0.0]), 1e-6) / np.array([4.0, 9.0])
         assert vinv[0] == pytest.approx(0.25, abs=1e-15)
         assert vinv[1] == pytest.approx(1e-6 / 9.0, rel=1e-12)
 
     def test_all_accepted_is_nominal_precision(self):
         r = np.array([0.5, 2.0, 8.0])
-        vinv = effective_precision(IndicatorBelief(np.ones(3)), r, 1e-6)
+        vinv = _expected_indicator(np.ones(3), 1e-6) / r
         assert np.allclose(vinv, 1.0 / r, rtol=1e-15)
 
     def test_all_rejected_is_scaled_by_epsilon(self):
         r = np.array([0.5, 2.0])
-        vinv = effective_precision(IndicatorBelief(np.zeros(2)), r, 1e-4)
+        vinv = _expected_indicator(np.zeros(2), 1e-4) / r
         assert np.allclose(vinv, 1e-4 / r, rtol=1e-15)
-
-    @pytest.mark.parametrize("bad", [2.0, np.nan])
-    def test_rejects_omega_outside_unit_interval(self, bad):
-        with pytest.raises(ValueError, match="omega"):
-            effective_precision(np.array([1.0, bad]), [1.0, 1.0], 1e-6)
 
 
 class TestIndicatorTypes:
@@ -222,8 +219,7 @@ class TestIndicatorTypes:
             IndicatorBelief([0.5, np.nan])
 
     def test_expected_indicator_interpolates(self):
-        belief = IndicatorBelief([1.0, 0.0, 0.5])
-        expected = belief.expected(1e-2)
+        expected = _expected_indicator(IndicatorBelief([1.0, 0.0, 0.5]).omega, 1e-2)
         assert np.allclose(expected, [1.0, 1e-2, 0.5 + 0.5e-2])
 
 
@@ -285,7 +281,7 @@ class TestSorStep:
             y,
             cfg,
             UTParams(),
-            force_indicators=result.indicators.expected(cfg.epsilon),
+            force_indicators=_expected_indicator(result.indicators.omega, cfg.epsilon),
         )
         delta = np.linalg.norm(rerun.posterior.mean - result.posterior.mean)
         assert delta <= cfg.tau * (1.0 + np.linalg.norm(result.posterior.mean))
@@ -540,6 +536,23 @@ class TestSorStep:
                 sor_step(model, prediction, y, IndicatorConfig(), UTParams(), "serial")
         assert "VB iteration 0:" in str(info.value)
         assert "non-finite latent precision" in str(info.value)
+
+    def test_overflowing_innovation_variance_names_vb_iteration_zero(self):
+        # the same map with an angular dimension, so that the scalar sweep
+        # runs: the innovation variance of dimension 0 overflows
+        rng = np.random.default_rng(23)
+        h = rng.standard_normal((3, 2))
+        h[0] *= 1e200
+        model = dataclasses.replace(
+            _linear_model(h, np.full(3, 0.5)), angular_mask=[False, True, False]
+        )
+        prediction = GaussianBelief(rng.standard_normal(2), _random_spd(rng, 2))
+        y = h @ prediction.mean
+        with np.errstate(over="ignore"):
+            with pytest.raises(FilterNumericsError) as info:
+                sor_step(model, prediction, y, IndicatorConfig(), UTParams(), "serial")
+        assert "VB iteration 0:" in str(info.value)
+        assert "innovation variance inf for measurement dimension 0" in str(info.value)
 
     def test_posterior_predictive_failure_names_its_vb_iteration(self, monkeypatch):
         rng = np.random.default_rng(21)
@@ -846,7 +859,7 @@ def _public_vb_step(model, prediction, y, cfg, params, variant):
         resid = innovation(yv, mu_pp, mask)
         omega = omega_update(resid**2 + udiag_pp, r_diag, thetas, cfg.epsilon)
         prev_mean = state.mean
-        state, mu_pp, udiag_pp = update(IndicatorBelief(omega).expected(cfg.epsilon) / r_diag)
+        state, mu_pp, udiag_pp = update(_expected_indicator(omega, cfg.epsilon) / r_diag)
         delta = np.linalg.norm(state.mean - prev_mean)
         denom = np.linalg.norm(prev_mean)
         if denom >= sorfilt.vb.DELTA_DENOM_FLOOR:
