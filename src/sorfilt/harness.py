@@ -95,6 +95,11 @@ class ScenarioConfig:
         unknown = set(filters) - set(FILTER_NAMES)
         if not filters or unknown:
             raise ValueError(f"filters must be a non-empty subset of {FILTER_NAMES}")
+        # a second run of a filter would overwrite the first one's timing
+        repeated = sorted({name for name in filters if filters.count(name) > 1})
+        if repeated:
+            named = ", ".join(map(repr, repeated))
+            raise ValueError(f"filters lists {named} more than once")
         object.__setattr__(self, "filters", filters)
         if self.variant not in FILTER_NAMES:
             raise ValueError(f"variant must be one of {FILTER_NAMES}")

@@ -127,7 +127,8 @@ class GaussianBelief:
         non-finite factor instead of raising.
         """
         sym, root = _spd_factor(cov, name)
-        if not (np.isfinite(mean).all() and np.isfinite(sym).all()):
+        all_of = np.logical_and.reduce  # ndarray.all without its Python wrapper
+        if not (all_of(np.isfinite(mean), None) and all_of(np.isfinite(sym), None)):
             raise ValueError("belief contains non-finite entries")
         belief = object.__new__(cls)
         belief._freeze(mean, sym, root)
@@ -163,6 +164,8 @@ class NonlinearSSM:
     process_cov that is not (n, n), a meas_var_diag or angular_mask that is
     not (m,), and a meas_var_diag entry that is not > 0 or whose reciprocal
     overflows; validate_model checks process_cov's values and the maps.
+    It keeps what every filter step reads, read-only: _rinv = 1 / R,
+    _two_r = 2 R and _angular, the index of the angular dimensions.
     """
 
     state_dim: int
@@ -190,8 +193,15 @@ class NonlinearSSM:
         if not self.meas_var_diag.min(initial=1.0) > 0.0:
             raise ValueError("meas_var_diag entries must be > 0")
         with np.errstate(over="ignore"):
-            if not (1.0 / self.meas_var_diag).max(initial=0.0) < np.inf:
-                raise ValueError("meas_var_diag entries must have a finite reciprocal")
+            rinv, two_r = 1.0 / self.meas_var_diag, 2.0 * self.meas_var_diag
+        if not rinv.max(initial=0.0) < np.inf:
+            raise ValueError("meas_var_diag entries must have a finite reciprocal")
+        mask = self.angular_mask
+        angular = np.flatnonzero(mask) if mask is not None else np.empty(0, dtype=int)
+        # not fields, so equality and repr ignore them
+        for name, arr in (("_rinv", rinv), ("_two_r", two_r), ("_angular", angular)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MISSING_SENTINEL, NonlinearSSM, chol_lower
+from .model import MISSING_SENTINEL, NonlinearSSM, _frozen_array, chol_lower
 
 # state layout: [a, a_dot, b, b_dot, omega]
 TRACKING_X0 = np.array([-10000.0, 10.0, 5000.0, -5.0, -0.0524])
@@ -96,18 +96,24 @@ def process_noise_cov(cfg: TurnModelConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SensorField:
-    """m/2 bearing sensors and m/2 range sensors at fixed 2D positions."""
+    """m/2 bearing sensors and m/2 range sensors at fixed 2D positions, kept
+    as read-only copies, plus one x row and one y row over all m sensors,
+    bearings first, for clean_measurement."""
 
     bearing_pos: np.ndarray
     range_pos: np.ndarray
 
     def __post_init__(self) -> None:
-        bearing = np.atleast_2d(np.asarray(self.bearing_pos, dtype=float))
-        rng_pos = np.atleast_2d(np.asarray(self.range_pos, dtype=float))
+        bearing = _frozen_array(np.atleast_2d(self.bearing_pos))
+        rng_pos = _frozen_array(np.atleast_2d(self.range_pos))
         if bearing.shape != rng_pos.shape or bearing.shape[1] != 2:
             raise ValueError("bearing and range positions must both be (p, 2)")
         object.__setattr__(self, "bearing_pos", bearing)
         object.__setattr__(self, "range_pos", rng_pos)
+        # not fields, so equality and repr ignore them
+        for name, col in (("_x", 0), ("_y", 1)):
+            row = np.concatenate([bearing[:, col], rng_pos[:, col]])
+            object.__setattr__(self, name, _frozen_array(row))
 
     @property
     def num_pairs(self) -> int:
@@ -132,17 +138,20 @@ def clean_measurement(state, field: SensorField):
 
     Bearing j is atan2(b - b_j, a - a_j); a target exactly on a bearing
     sensor makes atan2(0, 0) meaningless and is a hard error.
+
+    One subtraction per coordinate covers every sensor, and one hypot gives
+    the ranges and the on-sensor test alike, since hypot is 0 only when both
+    offsets are.  The bearings' arctan2 then overwrites their columns.
     """
     x = np.asarray(state, dtype=float)
-    a = x[..., 0:1]
-    b = x[..., 2:3]
-    da_bear = a - field.bearing_pos[:, 0]
-    db_bear = b - field.bearing_pos[:, 1]
-    if ((da_bear == 0.0) & (db_bear == 0.0)).any():
+    da = x[..., 0:1] - field._x
+    db = x[..., 2:3] - field._y
+    out = np.hypot(da, db)
+    p = field.num_pairs
+    if np.logical_or.reduce(out[..., :p] == 0.0, None):
         raise ValueError("target position coincides with a bearing sensor")
-    bearings = np.arctan2(db_bear, da_bear)
-    ranges = np.hypot(a - field.range_pos[:, 0], b - field.range_pos[:, 1])
-    return np.concatenate([bearings, ranges], axis=-1)
+    np.arctan2(db[..., :p], da[..., :p], out=out[..., :p])
+    return out
 
 
 @dataclass(frozen=True)

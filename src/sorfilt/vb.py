@@ -67,8 +67,10 @@ class IndicatorConfig:
             raise ValueError("tau must be > 0")
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise ValueError("max_iters must be an integer >= 1")
-        # m -> thetas(m); not a field, so equality, hashing and repr ignore it
+        # m -> thetas(m) and m -> _omega_prior(m); not fields, so equality,
+        # hashing and repr ignore them
         object.__setattr__(self, "_thetas", {})
+        object.__setattr__(self, "_priors", {})
 
     def thetas(self, m: int) -> np.ndarray:
         """The read-only prior vector for m dimensions, built on the first call
@@ -84,6 +86,16 @@ class IndicatorConfig:
                 cached = theta.copy()
             cached.flags.writeable = False
             self._thetas[m] = cached
+        return cached
+
+    def _omega_prior(self, m: int) -> tuple[np.ndarray, float]:
+        """omega's read-only prior log-odds for m dimensions and 1 - eps, built
+        on the first call per m like thetas(m); 2 R comes from the model."""
+        cached = self._priors.get(m)
+        if cached is None:
+            prior = _prior_log_odds(self.thetas(m), self.epsilon)
+            prior.flags.writeable = False
+            cached = self._priors[m] = (prior, 1.0 - self.epsilon)
         return cached
 
 
@@ -145,15 +157,22 @@ def omega_update(W_ii, R_ii, theta, epsilon):
 
 
 def _check_w(w: np.ndarray) -> None:
-    # a min/max reduction; a NaN fails every comparison, and empty W passes
-    if w.size and not (w.min() >= 0.0 and w.max() < np.inf):
+    # min/max ufunc reductions over every axis, without ndarray.min's Python
+    # wrapper; a NaN fails every comparison, and empty W passes
+    if w.size and not (
+        np.minimum.reduce(w, None) >= 0.0 and np.maximum.reduce(w, None) < np.inf
+    ):
         raise ValueError("W_ii must be finite and >= 0")
 
 
+def _prior_log_odds(th, eps):
+    """omega's prior log-odds of an outlier, 0.5 log eps + log1p(-th) - log th."""
+    return 0.5 * np.log(eps) + np.log1p(-th) - np.log(th)
+
+
 def _omega_constants(r, th, eps):
-    """omega_update's constants, which a VB step computes once: the prior
-    log-odds of an outlier 0.5 log eps + log1p(-th) - log th, 1 - eps, 2 R."""
-    return 0.5 * np.log(eps) + np.log1p(-th) - np.log(th), 1.0 - eps, 2.0 * r
+    """omega_update's constants: the prior log-odds, 1 - eps and 2 R."""
+    return _prior_log_odds(th, eps), 1.0 - eps, 2.0 * r
 
 
 def _omega_from_prior(w, prior, keep, two_r):
@@ -182,9 +201,10 @@ def _joint_factor(
 def _step_inputs(model: NonlinearSSM, y, variant) -> tuple[np.ndarray, np.ndarray]:
     """The checks of one step's inputs, made once at its entry: the variant
     and y's shape.  Returns y's values and the nominal precisions
-    1 / meas_var_diag, which the model keeps finite."""
+    1 / meas_var_diag, which the model computed, checked finite and keeps
+    read-only when it was built."""
     _check_variant(variant)
-    return _measurement_values(y, model.meas_dim), 1.0 / model.meas_var_diag
+    return _measurement_values(y, model.meas_dim), model._rinv
 
 
 def _step_update(
@@ -251,7 +271,9 @@ def sor_step(
     covariance is checked once, on the final iteration's result.  A
     FilterNumericsError raised from the first update on names its VB
     iteration: 0 for the first update, l for the work of iteration l,
-    including the final covariance check.
+    including the final covariance check.  The run's constants come from
+    their owners: 1 / R, 2 R and the angular index from the model, omega's
+    prior log-odds and 1 - eps from cfg.
 
     force_indicators short-circuits the loop with a fixed expected-indicator
     vector of shape (m,) with entries in [0, 1]; all ones reproduces the
@@ -277,10 +299,9 @@ def sor_step(
             raise ValueError("force_indicators entries must lie in [0, 1]")
         vinv = omega / r_diag
     else:
-        constants = _omega_constants(r_diag, cfg.thetas(m), eps)
+        prior, keep = cfg._omega_prior(m)
         vinv = rinv  # omega starts at ones
-    mask = model.angular_mask
-    angular = np.flatnonzero(mask) if mask is not None else np.empty(0, dtype=int)
+    two_r, angular = model._two_r, model._angular
 
     iteration = 0
     converged = forced
@@ -290,13 +311,13 @@ def sor_step(
             iteration += 1
             if mu_pp is None:
                 mu_pp, udiag_pp = posterior_predictive_meas(model, update, params)
-            # innovation(yv, mu_pp, mask), wrapping through the step's index
+            # innovation(yv, mu_pp, mask), wrapping through the model's index
             resid = yv - mu_pp
             if angular.size:
                 resid[angular] = wrap_angle(resid[angular])
             w = resid**2 + udiag_pp
             _check_w(w)
-            omega = _omega_from_prior(w, *constants)
+            omega = _omega_from_prior(w, prior, keep, two_r)
             prev_mean = update.mean
             update, mu_pp, udiag_pp = step_update(_expected_indicator(omega, eps) / r_diag)
 

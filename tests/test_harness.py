@@ -18,7 +18,6 @@ from sorfilt import (
     TurnModelConfig,
     UTParams,
     bench_runtime,
-    complexity_fit,
     rmse_pos,
     rmse_pos_per_run,
     run_rng,
@@ -27,6 +26,7 @@ from sorfilt import (
     run_uwb_experiment,
 )
 from sorfilt.cli import main
+from sorfilt.harness import complexity_fit
 from sorfilt.vb import FILTER_NAMES
 
 
@@ -161,6 +161,8 @@ class TestScenarioConfig:
                 {"mode": "missing", "sweep_axis": "gamma", "sweep_values": (10.0, 100.0)},
                 "sweep_axis gamma has no effect in mode missing",
             ),
+            # a second run of a filter would overwrite the first one's timing
+            ({"filters": ("sor", "ukf", "sor")}, "filters lists 'sor' more than once"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -558,6 +560,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert match in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "bench"])
+    def test_repeated_filter_exits_two(self, tmp_path, capsys, monkeypatch, command):
+        # a second run of sor would overwrite the first one's timing
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_tracking_single", no_run)
+        argv = [command, "--filters", "sor,msor,sor", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: filters lists 'sor' more than once\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from sorfilt import ScenarioConfig
+from sorfilt.cli import CONFIG_KEYS, _build_config, build_parser
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -32,8 +32,22 @@ def test_python_examples_run_and_reject_the_outlier(capsys):
         assert omegas[1, 0] > 0.5
 
 
-def test_yaml_example_is_a_valid_scenario():
-    (block,) = _blocks("yaml")
-    cfg = ScenarioConfig(**yaml.safe_load(block))
+def test_yaml_example_is_a_valid_scenario(tmp_path):
+    # each block's first line names the command it documents; the block must
+    # set only keys that command reads, and pass its config check
+    configs = {}
+    for block in _blocks("yaml"):
+        first = block.splitlines()[0]
+        command = re.fullmatch(r"# sorfilt (\w+) --config \S+", first)[1]
+        keys = set(yaml.safe_load(block))
+        assert keys <= set(CONFIG_KEYS[command]), keys - set(CONFIG_KEYS[command])
+        path = tmp_path / f"{command}.yaml"
+        path.write_text(block)
+        args = build_parser().parse_args([command, "--config", str(path)])
+        configs[command], given = _build_config(args)
+        assert given == keys
+    assert sorted(configs) == ["simulate", "uwb"]
+    cfg = configs["simulate"]
     assert cfg.sweep_axis == "lam"
     assert [value for value, _ in cfg.points()] == [0.1, 0.3, 0.5]
+    assert (configs["uwb"].variant, configs["uwb"].dataset) == ("msor", None)

@@ -13,16 +13,18 @@ from sorfilt import (
     SensorField,
     TurnModelConfig,
     chol_lower,
-    clean_measurement,
     make_tracking_model,
-    nominal_sigmas,
     process_noise_cov,
-    sample_gamma,
     simulate_trajectory,
     turn_transition,
     validate_model,
 )
-from sorfilt.tracking import _corrupt_draws
+from sorfilt.tracking import (
+    _corrupt_draws,
+    clean_measurement,
+    nominal_sigmas,
+    sample_gamma,
+)
 
 
 # omega at and around the constant-velocity limit |omega| < 1e-9
