@@ -137,11 +137,9 @@ def _check_angular(angular_mask, m: int) -> np.ndarray:
 
 
 def _check_vinv(vinv, m: int) -> np.ndarray:
-    # a float (m,) ndarray, which every filter step passes, needs no conversion
-    if not (type(vinv) is np.ndarray and vinv.dtype == float and vinv.shape == (m,)):
-        vinv = np.atleast_1d(np.asarray(vinv, dtype=float))
-        if vinv.shape != (m,):
-            raise ValueError(f"Vinv_diag length {vinv.shape} does not match meas dim {m}")
+    vinv = np.atleast_1d(np.asarray(vinv, dtype=float))
+    if vinv.shape != (m,):
+        raise ValueError(f"Vinv_diag length {vinv.shape} does not match meas dim {m}")
     # ufunc reductions, without ndarray.min's Python wrapper; NaN fails both
     # comparisons, and an empty vinv passes
     if m and not (np.minimum.reduce(vinv) >= 0.0 and np.maximum.reduce(vinv) < np.inf):
@@ -258,13 +256,6 @@ class SerialUpdateResult:
     mu_post: np.ndarray
     udiag_post: np.ndarray
 
-    @classmethod
-    def _trusted(cls, mean, root, mu_post, udiag_post) -> "SerialUpdateResult":
-        """The result from arrays serial_conditioning built, set directly."""
-        result = object.__new__(cls)
-        vars(result).update(mean=mean, root=root, mu_post=mu_post, udiag_post=udiag_post)
-        return result
-
     @functools.cached_property
     def posterior(self) -> GaussianBelief:
         return GaussianBelief._from_filter(
@@ -330,11 +321,11 @@ def serial_conditioning(
             raise RuntimeError("dger returned a copy instead of updating [T | g]")
 
     x_tg, z_tg = factor.Ex @ tg, factor.Ez @ tg  # [Ex T | Ex g], [Ez T | Ez g]
-    return SerialUpdateResult._trusted(
-        factor.mean_x + x_tg[:, r],
-        x_tg[:, :r],
-        factor.mu + z_tg[:, r],
-        np.einsum("ij,ij->i", z_tg[:, :r], z_tg[:, :r]),
+    return SerialUpdateResult(
+        mean=factor.mean_x + x_tg[:, r],
+        root=x_tg[:, :r],
+        mu_post=factor.mu + z_tg[:, r],
+        udiag_post=np.einsum("ij,ij->i", z_tg[:, :r], z_tg[:, :r]),
     )
 
 
@@ -380,11 +371,11 @@ def _latent_block(
         qt = q.T  # Q^T, row by row as rhs
     qz = qt[1 : m + 1]
     shift = qt[1:] @ qt[0]  # [Ez g, Ex g]
-    return SerialUpdateResult._trusted(
-        factor.mean_x + shift[m:],
-        qt[m + 1 :],
-        factor.mu + shift[:m],
-        np.einsum("ij,ij->i", qz, qz),
+    return SerialUpdateResult(
+        mean=factor.mean_x + shift[m:],
+        root=qt[m + 1 :],
+        mu_post=factor.mu + shift[:m],
+        udiag_post=np.einsum("ij,ij->i", qz, qz),
     )
 
 

@@ -67,35 +67,31 @@ class IndicatorConfig:
             raise ValueError("tau must be > 0")
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise ValueError("max_iters must be an integer >= 1")
-        # m -> thetas(m) and m -> _omega_prior(m); not fields, so equality,
-        # hashing and repr ignore them
-        object.__setattr__(self, "_thetas", {})
-        object.__setattr__(self, "_priors", {})
+        # m -> (thetas(m), omega's prior log-odds); not a field, so equality,
+        # hashing and repr ignore it
+        object.__setattr__(self, "_per_m", {})
 
     def thetas(self, m: int) -> np.ndarray:
         """The read-only prior vector for m dimensions, built on the first call
         per m.  A length mismatch is never kept, so it raises on every call."""
-        cached = self._thetas.get(m)
+        return self._prior(m)[0]
+
+    def _prior(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """thetas(m) and omega's prior log-odds for m dimensions, both
+        read-only and built together on the first call per m; 2 R comes from
+        the model."""
+        cached = self._per_m.get(m)
         if cached is None:
             theta = np.atleast_1d(np.asarray(self.theta_prior, dtype=float))
             if theta.size == 1:
-                cached = np.full(m, theta[0])
+                theta = np.full(m, theta[0])
             elif theta.size != m:
                 raise ValueError(f"theta_prior length {theta.size} does not match m={m}")
             else:
-                cached = theta.copy()
-            cached.flags.writeable = False
-            self._thetas[m] = cached
-        return cached
-
-    def _omega_prior(self, m: int) -> tuple[np.ndarray, float]:
-        """omega's read-only prior log-odds for m dimensions and 1 - eps, built
-        on the first call per m like thetas(m); 2 R comes from the model."""
-        cached = self._priors.get(m)
-        if cached is None:
-            prior = _prior_log_odds(self.thetas(m), self.epsilon)
-            prior.flags.writeable = False
-            cached = self._priors[m] = (prior, 1.0 - self.epsilon)
+                theta = theta.copy()
+            log_odds = _prior_log_odds(theta, self.epsilon)
+            theta.flags.writeable = log_odds.flags.writeable = False
+            cached = self._per_m[m] = (theta, log_odds)
         return cached
 
 
@@ -273,7 +269,7 @@ def sor_step(
     iteration: 0 for the first update, l for the work of iteration l,
     including the final covariance check.  The run's constants come from
     their owners: 1 / R, 2 R and the angular index from the model, omega's
-    prior log-odds and 1 - eps from cfg.
+    prior log-odds from cfg.
 
     force_indicators short-circuits the loop with a fixed expected-indicator
     vector of shape (m,) with entries in [0, 1]; all ones reproduces the
@@ -299,7 +295,7 @@ def sor_step(
             raise ValueError("force_indicators entries must lie in [0, 1]")
         vinv = omega / r_diag
     else:
-        prior, keep = cfg._omega_prior(m)
+        prior, keep = cfg._prior(m)[1], 1.0 - eps
         vinv = rinv  # omega starts at ones
     two_r, angular = model._two_r, model._angular
 
