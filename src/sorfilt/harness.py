@@ -1,4 +1,5 @@
-"""Config-driven Monte Carlo harness: RMSE sweeps, runtime benchmarks, and
+"""Config-driven experiment harness: each timed and scored filter pass (a
+tracking run or a UWB localization), RMSE sweeps, runtime benchmarks, and
 machine-readable reports."""
 
 from __future__ import annotations
@@ -26,7 +27,14 @@ from .tracking import (
     simulate_trajectory,
 )
 from .unscented import UTParams
-from .uwb import make_synthetic_dataset, load_dataset, run_localization
+from .uwb import (
+    AnchorSet,
+    StepRecord,
+    encode_measurements,
+    load_dataset,
+    make_synthetic_dataset,
+    uwb_measurement_model,
+)
 from .vb import FILTER_NAMES, IndicatorConfig, run_filter
 
 # each sweep axis and the ScenarioConfig field it sets
@@ -196,9 +204,43 @@ def run_rng(base_seed: int, run_index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class FilterRunOutcome:
+    """One filter's pass over a world whose true positions are known."""
+
     estimates: np.ndarray  # (K, 2) position estimates
-    seconds: float
+    omegas: np.ndarray  # (K, m); all ones for ukf
     iterations: np.ndarray  # (K,)
+    rmse_m: float  # the run's aggregate position RMSE; 0.0 when K = 0
+    seconds: float  # run_filter's wall time, its result arrays included
+
+
+def _filter_outcome(name, model, init, measurements, cfg, params, truth, position):
+    """run_filter(name, ...) timed, its means' position entries scored
+    against the (K, 2) truth."""
+    start = time.perf_counter()
+    means, omegas, iterations = run_filter(name, model, init, measurements, cfg, params)
+    seconds = time.perf_counter() - start
+    estimates = means[:, position]
+    # the mean over no steps would warn and give NaN
+    rmse = float(rmse_pos_per_run(estimates, truth)) if len(estimates) else 0.0
+    return FilterRunOutcome(estimates, omegas, iterations, rmse, seconds)
+
+
+# x and y of the turn model's (x, vx, y, vy, w) state
+_TRACKING_POSITION = [0, 2]
+
+
+def _tracking_world(cfg: ScenarioConfig, run_index: int):
+    """(model, init, measurements, true positions) of one Monte Carlo run,
+    drawn from run_rng(cfg.seed, run_index) alone."""
+    rng = run_rng(cfg.seed, run_index)
+    sensor_field = SensorField.lattice(cfg.num_pairs)
+    traj = simulate_trajectory(cfg.turn, sensor_field, cfg.corruption, cfg.steps, rng)
+    model = make_tracking_model(sensor_field, cfg.turn, cfg.sigma_theta, cfg.sigma_rho)
+    p0 = 100.0 * process_noise_cov(cfg.turn)
+    init_mean = TRACKING_X0 + chol_lower(p0, "P0") @ rng.standard_normal(5)
+    init = GaussianBelief(init_mean, p0)
+    measurements = [Measurement(k + 1, traj.measurements[k]) for k in range(cfg.steps)]
+    return model, init, measurements, traj.positions
 
 
 def run_tracking_single(
@@ -208,29 +250,12 @@ def run_tracking_single(
 
     cfg's sweep is ignored: run_sweep passes the config of each sweep point,
     from cfg.points().  A filter's result does not depend on which other
-    filters run.  Returns the true positions and per-filter outcomes.  Timing
-    covers run_filter only, including its O(K m) building of the result arrays.
+    filters run, and a filter that fails raises.  Returns the true positions
+    and per-filter outcomes.
     """
-    rng = run_rng(cfg.seed, run_index)
-    sensor_field = SensorField.lattice(cfg.num_pairs)
-    traj = simulate_trajectory(cfg.turn, sensor_field, cfg.corruption, cfg.steps, rng)
-    model = make_tracking_model(sensor_field, cfg.turn, cfg.sigma_theta, cfg.sigma_rho)
-    p0 = 100.0 * process_noise_cov(cfg.turn)
-    init_mean = TRACKING_X0 + chol_lower(p0, "P0") @ rng.standard_normal(5)
-    init = GaussianBelief(init_mean, p0)
-    measurements = [Measurement(k + 1, traj.measurements[k]) for k in range(cfg.steps)]
-
-    outcomes: dict[str, FilterRunOutcome] = {}
-    for name in cfg.filters:
-        start = time.perf_counter()
-        means, _, iterations = run_filter(
-            name, model, init, measurements, cfg.indicator, cfg.ut
-        )
-        seconds = time.perf_counter() - start
-        outcomes[name] = FilterRunOutcome(
-            estimates=means[:, [0, 2]], seconds=seconds, iterations=iterations
-        )
-    return traj.positions, outcomes
+    model, init, measurements, truth = _tracking_world(cfg, run_index)
+    world = (model, init, measurements, cfg.indicator, cfg.ut, truth, _TRACKING_POSITION)
+    return truth, {name: _filter_outcome(name, *world) for name in cfg.filters}
 
 
 def run_sweep(cfg: ScenarioConfig) -> dict:
@@ -264,11 +289,11 @@ def run_sweep(cfg: ScenarioConfig) -> dict:
             for name, runs in per_filter.items():
                 est_stack = np.stack([o.estimates for o in runs])
                 rmse_per_step[name], aggregate = rmse_pos(est_stack, truth_stack)
-                per_run = rmse_pos_per_run(est_stack, truth_stack)
+                per_run = [o.rmse_m for o in runs]
                 iters = np.concatenate([o.iterations for o in runs])
                 stats[name] = {
                     "rmse_aggregate": aggregate,
-                    "rmse_per_run": [float(v) for v in per_run],
+                    "rmse_per_run": per_run,
                     "rmse_median": float(np.median(per_run)),
                     "seconds_mean": float(np.mean([o.seconds for o in runs])),
                     "iterations_mean": float(iters.mean()),
@@ -397,6 +422,34 @@ def bench_runtime(
     return BenchReport(m_values=m_values, seconds=seconds, slopes=slopes)
 
 
+def run_localization(
+    anchors: AnchorSet,
+    steps: list[StepRecord],
+    variant: str = "msor",
+    seed: int = 0,
+    tag_z: float = 0.0,
+    cfg: IndicatorConfig | None = None,
+    params: UTParams | None = None,
+) -> FilterRunOutcome:
+    """Run one filter over the dataset from a random initial mean.
+
+    variant is one of ukf, sor (parallel updates), msor (serial updates);
+    run_filter refuses any other name.  Missing readings enter the filter as
+    MISSING_SENTINEL (0.0); rejection is the indicator model's job.
+    """
+    model = uwb_measurement_model(anchors, tag_z)
+    encoded = encode_measurements(steps, len(anchors))
+    measurements = [Measurement(k + 1, encoded[k]) for k in range(len(steps))]
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    init = GaussianBelief(rng.normal(0.0, np.sqrt(0.5), size=2), 0.5 * np.eye(2))
+    truth = np.array([record.truth for record in steps]).reshape(len(steps), 2)
+    # the position is the model's whole (x, y) state
+    return _filter_outcome(
+        variant, model, init, measurements,
+        cfg or IndicatorConfig(), params or UTParams(), truth, [0, 1],
+    )
+
+
 def run_uwb_experiment(cfg: ScenarioConfig) -> dict:
     """Dataset (or synthetic) localization over cfg.runs random initializations.
 
@@ -420,7 +473,7 @@ def run_uwb_experiment(cfg: ScenarioConfig) -> dict:
             params=cfg.ut,
         )
         rmses.append(result.rmse_m)
-        runtimes.append(result.runtime_s)
+        runtimes.append(result.seconds)
     report = {
         "scenario": source,
         "variant": cfg.variant,

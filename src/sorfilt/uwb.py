@@ -1,4 +1,8 @@
-"""UWB range-data ingestion and 2D tag localization with a random-walk model.
+"""The UWB world: range datasets, the range model and a synthetic room.
+
+It holds dataset I/O, the random-walk position model with per-anchor range
+measurements, the encoding of readings for the filter and the synthetic
+room; harness.run_localization runs a filter in it.
 
 Dataset layout is two CSV files in one directory: anchors.csv holding
 id,x,y,z rows and steps.csv holding step,truth_x,truth_y plus one column per
@@ -9,15 +13,12 @@ from __future__ import annotations
 
 import csv
 import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .model import MISSING_SENTINEL, GaussianBelief, Measurement, NonlinearSSM
-from .unscented import UTParams
-from .vb import IndicatorConfig, run_filter
+from .model import MISSING_SENTINEL, NonlinearSSM
 
 MAX_ACTIVE_RANGES = 4
 SYNTHETIC_ANCHORS = 11  # in make_synthetic_dataset's room, the last never reports
@@ -194,61 +195,6 @@ def encode_measurements(steps: list[StepRecord], num_anchors: int) -> np.ndarray
             if reading is not None:
                 out[k, j] = reading
     return out
-
-
-@dataclass(frozen=True)
-class LocalizationResult:
-    estimates: np.ndarray  # (K, 2)
-    omegas: np.ndarray  # (K, A); all ones for the plain filter
-    rmse_m: float
-    runtime_s: float
-    steps: int
-    iterations: np.ndarray  # (K,)
-
-
-def run_localization(
-    anchors: AnchorSet,
-    steps: list[StepRecord],
-    variant: str = "msor",
-    seed: int = 0,
-    tag_z: float = 0.0,
-    cfg: IndicatorConfig | None = None,
-    params: UTParams | None = None,
-) -> LocalizationResult:
-    """Run one filter over the dataset from a random initial mean.
-
-    variant is one of ukf, sor (parallel updates), msor (serial updates);
-    run_filter refuses any other name.  Missing readings enter the filter as
-    MISSING_SENTINEL (0.0); rejection is the indicator model's job.  The
-    reported runtime covers run_filter only, including its O(K m) building
-    of the result arrays.
-    """
-    cfg = cfg or IndicatorConfig()
-    params = params or UTParams()
-    model = uwb_measurement_model(anchors, tag_z)
-    num = len(steps)
-    encoded = encode_measurements(steps, len(anchors))
-    measurements = [Measurement(k + 1, encoded[k]) for k in range(num)]
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    init = GaussianBelief(rng.normal(0.0, np.sqrt(0.5), size=2), 0.5 * np.eye(2))
-
-    start = time.perf_counter()
-    estimates, omegas, iterations = run_filter(
-        variant, model, init, measurements, cfg, params
-    )
-    runtime = time.perf_counter() - start
-
-    truth = np.array([record.truth for record in steps]).reshape(num, 2)
-    sq_err = np.sum((estimates - truth) ** 2, axis=1)
-    rmse = float(np.sqrt(np.mean(sq_err))) if num else 0.0
-    return LocalizationResult(
-        estimates=estimates,
-        omegas=omegas,
-        rmse_m=rmse,
-        runtime_s=runtime,
-        steps=num,
-        iterations=iterations,
-    )
 
 
 def make_synthetic_dataset(

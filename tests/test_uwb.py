@@ -269,7 +269,7 @@ class TestRunLocalization:
     def test_empty_dataset(self):
         anchors, _ = _toy_dataset()
         result = run_localization(anchors, [])
-        assert result.steps == 0
+        assert len(result.estimates) == 0
         assert result.estimates.shape == (0, 2)
 
     @pytest.mark.parametrize("variant", ["ukf", "sor", "msor"])
