@@ -95,10 +95,10 @@ def _cmd_simulate(args) -> int:
                 f"mean_iters={stats['iterations_mean']:.2f}"
             )
     for failure in summary["failures"]:
-        print(
-            f"FAILED value={failure['value']} run={failure['run']}: {failure['error']}",
-            file=sys.stderr,
-        )
+        where = f"value={failure['value']} run={failure['run']}"
+        if failure["filter"] is not None:
+            where += f" filter={failure['filter']}"
+        print(f"FAILED {where}: {failure['error']}", file=sys.stderr)
     print(f"reports written to {cfg.out}")
     return 1 if summary["failures"] else 0
 

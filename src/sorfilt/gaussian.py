@@ -64,7 +64,7 @@ def _measurement_values(y, m: int) -> np.ndarray:
     return yv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictedMeasurement:
     """Predicted measurement moments mu (m,), U (m, m), C (n, m).
 
@@ -189,7 +189,7 @@ def _update_parallel(
     return GaussianBelief._from_filter(mean, cov, "updated cov")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointFactor:
     """Square-root joint over (state, predicted measurement).
 
@@ -240,7 +240,7 @@ def joint_factor_from_moments(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SerialUpdateResult:
     """Posterior state mean and square root plus conditioned
     measurement-predictive moments.

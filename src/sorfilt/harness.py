@@ -202,7 +202,7 @@ def run_rng(base_seed: int, run_index: int) -> np.random.Generator:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterRunOutcome:
     """One filter's pass over a world whose true positions are known."""
 
@@ -258,12 +258,20 @@ def run_tracking_single(
     return truth, {name: _filter_outcome(name, *world) for name in cfg.filters}
 
 
+def _failure(value, run_index: int, name: str | None, exc: Exception) -> dict:
+    """A summary.json failures entry; name is None when the world failed."""
+    error = f"{type(exc).__name__}: {exc}"
+    return {"value": value, "run": run_index, "filter": name, "error": error}
+
+
 def run_sweep(cfg: ScenarioConfig) -> dict:
     """Execute the configured tracking sweep, write CSV + JSON reports, and
     return the summary that summary.json holds.
 
-    Each sweep point gets one CSV (filter, step, rmse).  Run failures are
-    recorded per seed and do not abort the sweep.  CSV bodies depend only on
+    Each sweep point gets one CSV (filter, step, rmse).  Failures do not
+    abort the sweep: a world that cannot be built is recorded per (value,
+    run), a filter that fails per (value, run, filter), and each filter's
+    statistics cover the runs it completed.  CSV bodies depend only on
     config and seeds; wall-clock metadata lives in summary.json.
     """
     out_dir = Path(cfg.out)
@@ -271,34 +279,40 @@ def run_sweep(cfg: ScenarioConfig) -> dict:
     axis = cfg.sweep_axis
     points, failures = [], []
     for value, point in cfg.points():
-        truths, per_filter = [], {name: [] for name in cfg.filters}
+        # per filter, the (truth, outcome) of each run it completed
+        completed = {name: [] for name in cfg.filters}
         for run_index in range(cfg.runs):
             try:
-                truth, outcomes = run_tracking_single(point, run_index)
+                model, init, measurements, truth = _tracking_world(point, run_index)
             except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
-                error = f"{type(exc).__name__}: {exc}"
-                failures.append({"value": value, "run": run_index, "error": error})
+                failures.append(_failure(value, run_index, None, exc))
                 continue
-            truths.append(truth)
-            for name, outcome in outcomes.items():
-                per_filter[name].append(outcome)
+            world = (model, init, measurements, point.indicator, point.ut, truth)
+            for name in cfg.filters:
+                try:
+                    outcome = _filter_outcome(name, *world, _TRACKING_POSITION)
+                except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
+                    failures.append(_failure(value, run_index, name, exc))
+                    continue
+                completed[name].append((truth, outcome))
 
         rmse_per_step, stats = {}, {}
-        if truths:
-            truth_stack = np.stack(truths)
-            for name, runs in per_filter.items():
-                est_stack = np.stack([o.estimates for o in runs])
-                rmse_per_step[name], aggregate = rmse_pos(est_stack, truth_stack)
-                per_run = [o.rmse_m for o in runs]
-                iters = np.concatenate([o.iterations for o in runs])
-                stats[name] = {
-                    "rmse_aggregate": aggregate,
-                    "rmse_per_run": per_run,
-                    "rmse_median": float(np.median(per_run)),
-                    "seconds_mean": float(np.mean([o.seconds for o in runs])),
-                    "iterations_mean": float(iters.mean()),
-                    "iterations_max": int(iters.max()),
-                }
+        for name, runs in completed.items():
+            if not runs:
+                continue
+            truth_stack = np.stack([truth for truth, _ in runs])
+            est_stack = np.stack([o.estimates for _, o in runs])
+            rmse_per_step[name], aggregate = rmse_pos(est_stack, truth_stack)
+            per_run = [o.rmse_m for _, o in runs]
+            iters = np.concatenate([o.iterations for _, o in runs])
+            stats[name] = {
+                "rmse_aggregate": aggregate,
+                "rmse_per_run": per_run,
+                "rmse_median": float(np.median(per_run)),
+                "seconds_mean": float(np.mean([o.seconds for _, o in runs])),
+                "iterations_mean": float(iters.mean()),
+                "iterations_max": int(iters.max()),
+            }
         points.append({"value": value, "filters": stats})
 
         label = "run" if axis is None else f"sweep_{axis}_{value}"
@@ -356,7 +370,7 @@ def _check_m_values(m_values) -> tuple[int, ...]:
     return m_values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BenchReport:
     m_values: tuple[int, ...]
     seconds: dict[str, np.ndarray]  # filter -> (len(m_values), runs)

@@ -84,7 +84,7 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianBelief:
     """State mean and covariance (m, P) at one time step.
 
@@ -152,7 +152,7 @@ class GaussianBelief:
         return self._root
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonlinearSSM:
     """Nonlinear state-space model with diagonal measurement noise.
 
@@ -204,7 +204,7 @@ class NonlinearSSM:
             object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Measurement:
     """One measurement vector y_k at time index k >= 1."""
 

@@ -94,7 +94,7 @@ def process_noise_cov(cfg: TurnModelConfig) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensorField:
     """m/2 bearing sensors and m/2 range sensors at fixed 2D positions, kept
     as read-only copies, plus one x row and one y row over all m sensors,
@@ -217,7 +217,7 @@ def _corrupt_draws(clean, uniforms, normals, sigmas, cfg: CorruptionConfig, gamm
     return values, flags
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryData:
     states: np.ndarray  # (K, 5)
     clean: np.ndarray  # (K, m)

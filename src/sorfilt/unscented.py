@@ -57,7 +57,7 @@ class UTParams:
         return cached
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UTWeights:
     """sqrt(n + lambda), the read-only mean and covariance weights, and
     whether every covariance weight is >= 0 (sqrt(wc) then factors)."""
@@ -68,7 +68,7 @@ class UTWeights:
     cov_weights_nonnegative: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SigmaPointSet:
     """2n+1 weighted sigma points; points[0] is the generating mean."""
 

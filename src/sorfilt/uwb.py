@@ -32,7 +32,7 @@ class DatasetError(ValueError):
     """Malformed dataset content, reported with file and line context."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnchorSet:
     ids: tuple[str, ...]
     positions: np.ndarray  # (A, 3) meters
@@ -53,7 +53,7 @@ class AnchorSet:
         return len(self.ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepRecord:
     """One tag step: surveyed truth plus per-anchor range readings.
 

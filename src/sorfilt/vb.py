@@ -95,7 +95,7 @@ class IndicatorConfig:
         return cached
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndicatorBelief:
     """Per-dimension posterior probability of "no outlier"."""
 
@@ -121,7 +121,7 @@ def _expected_indicator(omega: np.ndarray, epsilon: float) -> np.ndarray:
     return omega + (1.0 - omega) * epsilon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SorStepResult:
     posterior: GaussianBelief
     indicators: IndicatorBelief

@@ -13,6 +13,7 @@ import sorfilt.cli
 import sorfilt.harness as harness
 from sorfilt import (
     CorruptionConfig,
+    FilterNumericsError,
     IndicatorConfig,
     ScenarioConfig,
     TurnModelConfig,
@@ -349,21 +350,60 @@ class TestRunSweep:
         assert body_a == body_b
 
     def test_failures_recorded_without_aborting(self, tmp_path, monkeypatch):
-        real = harness.run_tracking_single
+        real = harness._tracking_world
 
         def flaky(cfg, run_index):
             if run_index == 1:
                 raise RuntimeError("synthetic fault")
             return real(cfg, run_index)
 
-        monkeypatch.setattr(harness, "run_tracking_single", flaky)
+        monkeypatch.setattr(harness, "_tracking_world", flaky)
         cfg = self._small_cfg(tmp_path, runs=3, filters=("ukf",))
         summary = run_sweep(cfg)
         assert summary["failures"] == [
-            {"value": None, "run": 1, "error": "RuntimeError: synthetic fault"}
+            {"value": None, "run": 1, "filter": None, "error": "RuntimeError: synthetic fault"}
         ]
         assert len(summary["points"][0]["filters"]["ukf"]["rmse_per_run"]) == 2
         assert json.loads((tmp_path / "summary.json").read_text()) == summary
+
+    def test_one_filter_failure_keeps_the_other_filters_runs(self, tmp_path, monkeypatch):
+        real = harness.run_filter
+        msor_calls = []
+
+        def flaky(name, *args):
+            if name == "msor":
+                msor_calls.append(name)
+                if len(msor_calls) == 2:  # run 1 of 3
+                    raise FilterNumericsError("synthetic divergence", time_index=4)
+            return real(name, *args)
+
+        filters = ("ukf", "sor", "msor")
+        clean = run_sweep(self._small_cfg(tmp_path / "clean", runs=3, filters=filters))
+        monkeypatch.setattr(harness, "run_filter", flaky)
+        summary = run_sweep(self._small_cfg(tmp_path / "flaky", runs=3, filters=filters))
+        assert summary["failures"] == [
+            {
+                "value": None,
+                "run": 1,
+                "filter": "msor",
+                "error": "FilterNumericsError: synthetic divergence",
+            }
+        ]
+        got = summary["points"][0]["filters"]
+        want = clean["points"][0]["filters"]
+        # each filter's statistics cover the runs it completed
+        for name in ("ukf", "sor"):
+            assert got[name]["rmse_per_run"] == want[name]["rmse_per_run"]
+            assert got[name]["rmse_aggregate"] == want[name]["rmse_aggregate"]
+        kept = want["msor"]["rmse_per_run"]
+        assert got["msor"]["rmse_per_run"] == [kept[0], kept[2]]
+        rows = {
+            side: (tmp_path / side / "run.csv").read_text().splitlines()
+            for side in ("clean", "flaky")
+        }
+        assert [r for r in rows["flaky"] if not r.startswith("msor,")] == [
+            r for r in rows["clean"] if not r.startswith("msor,")
+        ]
 
 
 class TestBenchRuntime:
@@ -494,7 +534,7 @@ class TestCli:
         def broken(cfg, run_index):
             raise RuntimeError("synthetic fault")
 
-        monkeypatch.setattr(harness, "run_tracking_single", broken)
+        monkeypatch.setattr(harness, "_tracking_world", broken)
         code = main(
             [
                 "simulate",
