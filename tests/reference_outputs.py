@@ -35,19 +35,13 @@ from sorfilt import (
     IndicatorConfig,
     Measurement,
     ScenarioConfig,
-    SensorField,
-    TRACKING_X0,
     UTParams,
-    chol_lower,
     encode_measurements,
     make_synthetic_dataset,
-    make_tracking_model,
-    process_noise_cov,
     run_filter,
-    run_rng,
-    simulate_trajectory,
     uwb_measurement_model,
 )
+from sorfilt.harness import _tracking_world
 
 REFERENCE_FILE = Path(__file__).parent / "data" / "reference_outputs.npz"
 FIELDS = ("means", "omegas", "iterations")
@@ -64,19 +58,6 @@ UWB_ROOMS = (("room0", 0, 0), ("room1", 1, 1))
 UWB_STEPS = 40
 
 
-def tracking_world(cfg: ScenarioConfig, run_index: int):
-    """(model, init, measurements) of run_tracking_single(cfg, run_index)."""
-    rng = run_rng(cfg.seed, run_index)
-    sensor_field = SensorField.lattice(cfg.num_pairs)
-    traj = simulate_trajectory(cfg.turn, sensor_field, cfg.corruption, cfg.steps, rng)
-    model = make_tracking_model(sensor_field, cfg.turn, cfg.sigma_theta, cfg.sigma_rho)
-    p0 = 100.0 * process_noise_cov(cfg.turn)
-    init_mean = TRACKING_X0 + chol_lower(p0, "P0") @ rng.standard_normal(5)
-    init = GaussianBelief(init_mean, p0)
-    measurements = [Measurement(k + 1, traj.measurements[k]) for k in range(cfg.steps)]
-    return model, init, measurements
-
-
 def uwb_world(room_seed: int, init_seed: int):
     """(model, init, measurements) of run_localization in one synthetic room."""
     anchors, steps = make_synthetic_dataset(seed=room_seed, num_steps=UWB_STEPS)
@@ -89,7 +70,7 @@ def uwb_world(room_seed: int, init_seed: int):
 
 def compute_outputs() -> dict[str, np.ndarray]:
     """run_filter's outputs on every reference world, keyed world.filter.field."""
-    worlds = [(name, tracking_world(cfg, run), cfg.indicator, cfg.ut)
+    worlds = [(name, _tracking_world(cfg, run)[:3], cfg.indicator, cfg.ut)
               for name, cfg, run in TRACKING_RUNS]
     worlds += [(name, uwb_world(room, init), IndicatorConfig(), UTParams())
                for name, room, init in UWB_ROOMS]
