@@ -226,7 +226,7 @@ def _filter_outcome(name, model, init, measurements, cfg, params, truth, positio
 
 
 # x and y of the turn model's (x, vx, y, vy, w) state
-_TRACKING_POSITION = [0, 2]
+_TRACKING_XY = [0, 2]
 
 
 def _tracking_world(cfg: ScenarioConfig, run_index: int):
@@ -254,7 +254,7 @@ def run_tracking_single(
     and per-filter outcomes.
     """
     model, init, measurements, truth = _tracking_world(cfg, run_index)
-    world = (model, init, measurements, cfg.indicator, cfg.ut, truth, _TRACKING_POSITION)
+    world = (model, init, measurements, cfg.indicator, cfg.ut, truth, _TRACKING_XY)
     return truth, {name: _filter_outcome(name, *world) for name in cfg.filters}
 
 
@@ -287,10 +287,10 @@ def run_sweep(cfg: ScenarioConfig) -> dict:
             except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
                 failures.append(_failure(value, run_index, None, exc))
                 continue
-            world = (model, init, measurements, point.indicator, point.ut, truth)
+            world = (model, init, measurements, point.indicator, point.ut, truth, _TRACKING_XY)
             for name in cfg.filters:
                 try:
-                    outcome = _filter_outcome(name, *world, _TRACKING_POSITION)
+                    outcome = _filter_outcome(name, *world)
                 except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
                     failures.append(_failure(value, run_index, name, exc))
                     continue

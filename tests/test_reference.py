@@ -1,10 +1,10 @@
 """The filters' outputs against tests/data/reference_outputs.npz.
 
 Iteration counts and indicator decisions (omega < 0.5) must match exactly.
-Means and omegas match within MEANS_TOL and OMEGAS_TOL, which leave room
-for a BLAS build whose last bits differ from the one the file was made
-with, and are still far below any change of the filter's arithmetic that
-moves a decision or an iteration count.
+Means and omegas match within MEANS_TOL and OMEGAS_TOL (1e-8), which leave
+room for a BLAS build whose last bits differ from the one that made the
+file.  A change below the tolerance, such as one ulp, shows in the sha256
+digests that tests/reference_outputs.py prints.
 """
 
 import numpy as np
