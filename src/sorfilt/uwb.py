@@ -1,8 +1,6 @@
-"""The UWB world: range datasets, the range model and a synthetic room.
-
-It holds dataset I/O, the random-walk position model with per-anchor range
-measurements, the encoding of readings for the filter and the synthetic
-room; harness.run_localization runs a filter in it.
+"""The UWB world: dataset I/O, the random-walk position model with
+per-anchor range measurements, the encoding of readings for the filter, and
+a synthetic room.  harness.run_localization runs a filter in it.
 
 Dataset layout is two CSV files in one directory: anchors.csv holding
 id,x,y,z rows and steps.csv holding step,truth_x,truth_y plus one column per
