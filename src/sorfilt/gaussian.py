@@ -21,6 +21,7 @@ from .model import (
     Measurement,
     NonlinearSSM,
     _is_symmetric,
+    _solve,
     symmetrize,
 )
 from .unscented import (
@@ -180,7 +181,7 @@ def _update_parallel(
     s = predmeas.U * vinv  # I + U diag(vinv), the identity added in place
     s.flat[:: predmeas.meas_dim + 1] += 1.0
     try:
-        gain = np.linalg.solve(s.T, cd.T).T
+        gain = _solve(s.T, cd.T).T
     except np.linalg.LinAlgError as exc:
         raise FilterNumericsError("singular innovation system (I + U Vinv)") from exc
 

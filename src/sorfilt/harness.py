@@ -243,6 +243,19 @@ def _tracking_world(cfg: ScenarioConfig, run_index: int):
     return model, init, measurements, traj.positions
 
 
+def _localization_world(anchors: AnchorSet, steps: list[StepRecord], seed: int, tag_z: float):
+    """(model, init, measurements, true positions) of one localization run:
+    the dataset's readings, missing ones as MISSING_SENTINEL, and an initial
+    mean drawn from seed alone."""
+    model = uwb_measurement_model(anchors, tag_z)
+    encoded = encode_measurements(steps, len(anchors))
+    measurements = [Measurement(k + 1, encoded[k]) for k in range(len(steps))]
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    init = GaussianBelief(rng.normal(0.0, np.sqrt(0.5), size=2), 0.5 * np.eye(2))
+    truth = np.array([record.truth for record in steps]).reshape(len(steps), 2)
+    return model, init, measurements, truth
+
+
 def run_tracking_single(
     cfg: ScenarioConfig, run_index: int
 ) -> tuple[np.ndarray, dict[str, FilterRunOutcome]]:
@@ -451,12 +464,7 @@ def run_localization(
     run_filter refuses any other name.  Missing readings enter the filter as
     MISSING_SENTINEL (0.0); rejection is the indicator model's job.
     """
-    model = uwb_measurement_model(anchors, tag_z)
-    encoded = encode_measurements(steps, len(anchors))
-    measurements = [Measurement(k + 1, encoded[k]) for k in range(len(steps))]
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    init = GaussianBelief(rng.normal(0.0, np.sqrt(0.5), size=2), 0.5 * np.eye(2))
-    truth = np.array([record.truth for record in steps]).reshape(len(steps), 2)
+    model, init, measurements, truth = _localization_world(anchors, steps, seed, tag_z)
     # the position is the model's whole (x, y) state
     return _filter_outcome(
         variant, model, init, measurements,

@@ -1,4 +1,5 @@
-"""Shared state-space model types, beliefs, and covariance hygiene helpers."""
+"""Shared state-space model types, beliefs, covariance hygiene helpers, and
+the Cholesky factorization and linear solve that every filter step calls."""
 
 from __future__ import annotations
 
@@ -39,6 +40,40 @@ def _is_symmetric(mat: Matrix, rtol: float = SYMMETRY_RTOL) -> bool:
     return bool(skew <= rtol * max(1.0, np.abs(mat).max(initial=0.0)))
 
 
+try:  # numpy >= 2: the LAPACK gufuncs np.linalg wraps, and its error callbacks
+    from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
+    from numpy.linalg import _umath_linalg
+    from numpy.linalg._linalg import (
+        _raise_linalgerror_nonposdef,
+        _raise_linalgerror_singular,
+    )
+except ImportError:  # the names are private numpy API: fall back to the public calls
+    _cholesky, _solve = np.linalg.cholesky, np.linalg.solve
+else:
+    # the error states that np.linalg.cholesky and solve build on every call, built once
+    _IGNORED = {"over": "ignore", "divide": "ignore", "under": "ignore"}
+    _CHOLESKY_ERRSTATE = _make_extobj(call=_raise_linalgerror_nonposdef, invalid="call", **_IGNORED)
+    _SOLVE_ERRSTATE = _make_extobj(call=_raise_linalgerror_singular, invalid="call", **_IGNORED)
+
+    def _cholesky(a: Matrix) -> Matrix:
+        """np.linalg.cholesky(a) for a float (n, n) array, bit for bit and with
+        the same LinAlgError, without the wrapper's conversions."""
+        token = _extobj_contextvar.set(_CHOLESKY_ERRSTATE)
+        try:
+            return _umath_linalg.cholesky_lo(a, signature="d->d")
+        finally:
+            _extobj_contextvar.reset(token)
+
+    def _solve(a: Matrix, b: Matrix) -> Matrix:
+        """np.linalg.solve(a, b) for float arrays a (m, m) and b (m, k), bit for
+        bit and with the same LinAlgError, without the wrapper's conversions."""
+        token = _extobj_contextvar.set(_SOLVE_ERRSTATE)
+        try:
+            return _umath_linalg.solve(a, b, signature="dd->d")
+        finally:
+            _extobj_contextvar.reset(token)
+
+
 def _jitter_for(mat: Matrix) -> float:
     n = mat.shape[0]
     jitter = JITTER_SCALE * float(np.trace(mat)) / n
@@ -56,12 +91,12 @@ def _spd_factor(mat: Matrix, name: str) -> tuple[Matrix, Matrix]:
     """
     sym = symmetrize(np.asarray(mat, dtype=float))
     try:
-        return sym, np.linalg.cholesky(sym)
+        return sym, _cholesky(sym)
     except np.linalg.LinAlgError:
         pass
     repaired = sym + _jitter_for(sym) * np.eye(sym.shape[0])
     try:
-        return repaired, np.linalg.cholesky(repaired)
+        return repaired, _cholesky(repaired)
     except np.linalg.LinAlgError as exc:
         raise FilterNumericsError(
             f"{name} is not positive definite even after diagonal jitter"
@@ -111,7 +146,7 @@ class GaussianBelief:
             raise ValueError("cov is not symmetric within tolerance")
         sym = symmetrize(cov)
         try:
-            root = np.linalg.cholesky(sym)
+            root = _cholesky(sym)
         except np.linalg.LinAlgError as exc:
             raise ValueError("cov is not positive definite") from exc
         self._freeze(mean, sym, root)

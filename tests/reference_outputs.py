@@ -31,17 +31,13 @@ import numpy as np
 
 from sorfilt import (
     FILTER_NAMES,
-    GaussianBelief,
     IndicatorConfig,
-    Measurement,
     ScenarioConfig,
     UTParams,
-    encode_measurements,
     make_synthetic_dataset,
     run_filter,
-    uwb_measurement_model,
 )
-from sorfilt.harness import _tracking_world
+from sorfilt.harness import _localization_world, _tracking_world
 
 REFERENCE_FILE = Path(__file__).parent / "data" / "reference_outputs.npz"
 FIELDS = ("means", "omegas", "iterations")
@@ -61,21 +57,23 @@ UWB_STEPS = 40
 def uwb_world(room_seed: int, init_seed: int):
     """(model, init, measurements) of run_localization in one synthetic room."""
     anchors, steps = make_synthetic_dataset(seed=room_seed, num_steps=UWB_STEPS)
-    encoded = encode_measurements(steps, len(anchors))
-    measurements = [Measurement(k + 1, encoded[k]) for k in range(len(steps))]
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(init_seed)))
-    init = GaussianBelief(rng.normal(0.0, np.sqrt(0.5), size=2), 0.5 * np.eye(2))
-    return uwb_measurement_model(anchors), init, measurements
+    return _localization_world(anchors, steps, init_seed, 0.0)[:3]
 
 
-def compute_outputs() -> dict[str, np.ndarray]:
-    """run_filter's outputs on every reference world, keyed world.filter.field."""
+def reference_worlds() -> list:
+    """(name, (model, init, measurements), indicator config, UT params) of
+    every reference world."""
     worlds = [(name, _tracking_world(cfg, run)[:3], cfg.indicator, cfg.ut)
               for name, cfg, run in TRACKING_RUNS]
     worlds += [(name, uwb_world(room, init), IndicatorConfig(), UTParams())
                for name, room, init in UWB_ROOMS]
+    return worlds
+
+
+def compute_outputs() -> dict[str, np.ndarray]:
+    """run_filter's outputs on every reference world, keyed world.filter.field."""
     outputs = {}
-    for world, (model, init, measurements), cfg, params in worlds:
+    for world, (model, init, measurements), cfg, params in reference_worlds():
         for name in FILTER_NAMES:
             values = run_filter(name, model, init, measurements, cfg, params)
             for field, value in zip(FIELDS, values):
