@@ -20,6 +20,7 @@ from .model import (
     GaussianBelief,
     Measurement,
     NonlinearSSM,
+    _einsum,
     _is_symmetric,
     _solve,
     symmetrize,
@@ -59,7 +60,12 @@ def innovation(y: np.ndarray, mu: np.ndarray, angular_mask=None) -> np.ndarray:
 
 def _measurement_values(y, m: int) -> np.ndarray:
     """The values of y, a Measurement or a vector, which must have length m."""
-    yv = y.values if isinstance(y, Measurement) else np.atleast_1d(np.asarray(y, float))
+    if isinstance(y, Measurement):
+        yv = y.values
+    else:
+        yv = np.asarray(y, float)
+        if yv.ndim < 1:
+            yv = np.atleast_1d(yv)
     if yv.shape != (m,):
         raise ValueError(f"measurement length {yv.shape} does not match meas dim {m}")
     return yv
@@ -99,7 +105,12 @@ class PredictedMeasurement:
         return predmeas
 
     def _set_finite(self, mu: np.ndarray, U: np.ndarray, C: np.ndarray) -> None:
-        if not (np.isfinite(mu).all() and np.isfinite(U).all() and np.isfinite(C).all()):
+        all_of = np.logical_and.reduce
+        if not (
+            all_of(np.isfinite(mu), None)
+            and all_of(np.isfinite(U), None)
+            and all_of(np.isfinite(C), None)
+        ):
             raise ValueError("predicted measurement contains non-finite entries")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "U", U)
@@ -138,7 +149,9 @@ def _check_angular(angular_mask, m: int) -> np.ndarray:
 
 
 def _check_vinv(vinv, m: int) -> np.ndarray:
-    vinv = np.atleast_1d(np.asarray(vinv, dtype=float))
+    vinv = np.asarray(vinv, dtype=float)
+    if vinv.ndim < 1:
+        vinv = np.atleast_1d(vinv)
     if vinv.shape != (m,):
         raise ValueError(f"Vinv_diag length {vinv.shape} does not match meas dim {m}")
     # ufunc reductions, without ndarray.min's Python wrapper; NaN fails both
@@ -178,8 +191,10 @@ def _update_parallel(
     and the wrapped residual y - predmeas.mu, which a caller that updates the
     same prediction many times computes once."""
     cd = predmeas.C * vinv  # C @ diag(vinv)
-    s = predmeas.U * vinv  # I + U diag(vinv), the identity added in place
-    s.flat[:: predmeas.meas_dim + 1] += 1.0
+    # I + U diag(vinv), the identity added in place through a strided view of
+    # the diagonal; a C-ordered product makes reshape a view, never a copy
+    s = np.multiply(predmeas.U, vinv, order="C")
+    s.reshape(-1)[:: predmeas.meas_dim + 1] += 1.0
     try:
         gain = _solve(s.T, cd.T).T
     except np.linalg.LinAlgError as exc:
@@ -213,7 +228,7 @@ def joint_factor_from_sigma(
     callers can fall back to the dense factorization.
     """
     wc = sigma.cov_weights
-    if (wc < 0.0).any():
+    if np.logical_or.reduce(wc < 0.0, None):
         raise ValueError("sigma covariance weights must be nonnegative for factoring")
     sw = np.sqrt(wc)
     mu = sigma.mean_weights @ values
@@ -289,14 +304,15 @@ def serial_conditioning(
     vinv = _check_vinv(vinv_diag, m)
     yv = _measurement_values(y, m)
     mask = None if angular_mask is None else _check_angular(angular_mask, m)
-    if mask is None or not mask.any():
+    if mask is None or not np.logical_or.reduce(mask, None):
         return _latent_block(factor, yv, vinv)
     angular = mask.tolist()
 
     # Python floats for scalars, and ndarray.dot into buffers made once per
     # call: the same results as numpy scalars and @, with less overhead.
     ez, mu, yl, vl = factor.Ez, factor.mu.tolist(), yv.tolist(), vinv.tolist()
-    work = np.eye(r + 1, r)  # [T^T; g^T] with T = I, g = 0
+    work = np.zeros((r + 1, r))  # [T^T; g^T] with T = I, g = 0
+    work.reshape(-1)[:: r + 1] = 1.0
     tg, t = work.T, work[:r].T  # [T | g] and T, which dger updates in place
     proj = np.empty(r + 1)  # [phi; e_i . g], then [phi; -resid / gamma]
     phi, u = proj[:r], np.empty(r)
@@ -326,7 +342,7 @@ def serial_conditioning(
         mean=factor.mean_x + x_tg[:, r],
         root=x_tg[:, :r],
         mu_post=factor.mu + z_tg[:, r],
-        udiag_post=np.einsum("ij,ij->i", z_tg[:, :r], z_tg[:, :r]),
+        udiag_post=_einsum("ij,ij->i", z_tg[:, :r], z_tg[:, :r]),
     )
 
 
@@ -348,10 +364,10 @@ def _latent_block(
     ez, ex = factor.Ez, factor.Ex
     m, r = ez.shape
     dw = ez.T * vinv  # Ez^T Vinv
-    lam = dw @ ez
-    lam.flat[:: r + 1] += 1.0
+    lam = dw @ ez  # C-ordered, as every matmul result, so reshape is a view
+    lam.reshape(-1)[:: r + 1] += 1.0
     # OpenBLAS's dpotrf factors inf and NaN entries without complaint
-    if not np.isfinite(lam).all():
+    if not np.logical_and.reduce(np.isfinite(lam), None):
         raise FilterNumericsError("non-finite latent precision I + Ez^T Vinv Ez")
     # (a, lower, clean): only the lower triangle is read or written
     chol, info = dpotrf(lam, 1, 0)
@@ -376,7 +392,7 @@ def _latent_block(
         mean=factor.mean_x + shift[m:],
         root=qt[m + 1 :],
         mu_post=factor.mu + shift[:m],
-        udiag_post=np.einsum("ij,ij->i", qz, qz),
+        udiag_post=_einsum("ij,ij->i", qz, qz),
     )
 
 

@@ -370,11 +370,17 @@ def complexity_fit(m_values, runtimes) -> float:
 
 
 def _check_m_values(m_values) -> tuple[int, ...]:
-    """bench_runtime's m values as ints: >= 3 distinct, each even and positive."""
+    """bench_runtime's m values as ints: >= 3 distinct, each even and positive.
+    A string must read as an integer; a number must be whole, as int() would
+    truncate 200.5 to 200."""
+    given = tuple(m_values)
     try:
-        m_values = tuple(int(m) for m in m_values)
-    except (TypeError, ValueError) as exc:
+        m_values = tuple(int(m) for m in given)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"m values must be integers: {exc}") from exc
+    fractional = [g for g, m in zip(given, m_values) if not isinstance(g, str) and g != m]
+    if fractional:
+        raise ValueError(f"m values must be integers: {fractional}")
     if len(set(m_values)) < 3:
         raise ValueError("the log-log fit needs at least 3 distinct m values")
     odd = [m for m in m_values if m < 2 or m % 2]

@@ -1,5 +1,6 @@
 """Shared state-space model types, beliefs, covariance hygiene helpers, and
-the Cholesky factorization and linear solve that every filter step calls."""
+the Cholesky factorization, linear solve and einsum that every filter step
+calls."""
 
 from __future__ import annotations
 
@@ -40,8 +41,10 @@ def _is_symmetric(mat: Matrix, rtol: float = SYMMETRY_RTOL) -> bool:
     return bool(skew <= rtol * max(1.0, np.abs(mat).max(initial=0.0)))
 
 
-try:  # numpy >= 2: the LAPACK gufuncs np.linalg wraps, and its error callbacks
+try:  # numpy >= 2: the C entry points of np.einsum and np.linalg, and linalg's error callbacks
     from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
+    # what np.einsum calls when it does not optimize, so the results are np.einsum's
+    from numpy._core.multiarray import c_einsum as _einsum
     from numpy.linalg import _umath_linalg
     from numpy.linalg._linalg import (
         _raise_linalgerror_nonposdef,
@@ -49,6 +52,7 @@ try:  # numpy >= 2: the LAPACK gufuncs np.linalg wraps, and its error callbacks
     )
 except ImportError:  # the names are private numpy API: fall back to the public calls
     _cholesky, _solve = np.linalg.cholesky, np.linalg.solve
+    _einsum = np.einsum
 else:
     # the error states that np.linalg.cholesky and solve build on every call, built once
     _IGNORED = {"over": "ignore", "divide": "ignore", "under": "ignore"}
@@ -115,7 +119,7 @@ def chol_lower(mat: Matrix, name: str = "cov") -> Matrix:
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -171,8 +175,8 @@ class GaussianBelief:
 
     def _freeze(self, mean: Vector, sym: Matrix, root: Matrix) -> None:
         # sym and root are fresh arrays; mean may alias the caller's
-        sym.flags.writeable = False
-        root.flags.writeable = False
+        sym.setflags(write=False)
+        root.setflags(write=False)
         object.__setattr__(self, "mean", _frozen_array(mean))
         object.__setattr__(self, "cov", sym)
         object.__setattr__(self, "_root", root)

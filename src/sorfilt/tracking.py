@@ -60,7 +60,7 @@ def turn_transition(state, cfg: TurnModelConfig):
     wdt = omega * cfg.dt
     sin_w, cos_w = np.sin(wdt), np.cos(wdt)
     near_zero = np.abs(omega) < OMEGA_CV_LIMIT
-    if near_zero.any():
+    if np.logical_or.reduce(near_zero, None):
         safe = np.where(near_zero, 1.0, omega)
         coef_a = np.where(near_zero, cfg.dt, sin_w / safe)
         coef_d = np.where(near_zero, 0.0, (1.0 - cos_w) / safe)

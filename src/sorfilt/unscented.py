@@ -70,7 +70,11 @@ class UTWeights:
 
 @dataclass(frozen=True, eq=False)
 class SigmaPointSet:
-    """2n+1 weighted sigma points; points[0] is the generating mean."""
+    """2n+1 weighted sigma points; points[0] is the generating mean.
+
+    The constructor refuses counts that disagree, a non-finite point or
+    weight, and mean weights whose sum is not 1 within 1e-12.
+    """
 
     points: np.ndarray
     mean_weights: np.ndarray
@@ -82,7 +86,12 @@ class SigmaPointSet:
         wc = np.asarray(self.cov_weights, dtype=float)
         if points.shape[0] != wm.size or wm.size != wc.size:
             raise ValueError("points and weights disagree in count")
-        if abs(wm.sum() - 1.0) > 1e-12:
+        if not (np.isfinite(points).all() and np.isfinite(wm).all() and np.isfinite(wc).all()):
+            raise ValueError("sigma points and weights must be finite")
+        # finite weights can sum to inf or NaN, which must fail, not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = wm.sum()
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError("mean weights must sum to 1")
         self._set(points, wm, wc)
 
@@ -136,14 +145,16 @@ def eval_sigma_points(
 ) -> np.ndarray:
     """Evaluate fn on every sigma point, returning a (2n+1, d) array."""
     if vectorized:
-        out = np.atleast_2d(np.asarray(fn(sigma.points), dtype=float))
+        out = np.asarray(fn(sigma.points), dtype=float)
+        if out.ndim < 2:
+            out = np.atleast_2d(out)
     else:
         out = np.stack(
             [np.atleast_1d(np.asarray(fn(p), dtype=float)) for p in sigma.points]
         )
     if out.shape[0] != sigma.points.shape[0]:
         raise ValueError("map output count does not match sigma point count")
-    if not np.isfinite(out).all():
+    if not np.logical_and.reduce(np.isfinite(out), None):
         # scan by row only on failure, to name the first bad point
         finite_rows = np.all(np.isfinite(out), axis=1)
         bad = int(np.flatnonzero(~finite_rows)[0])

@@ -22,7 +22,6 @@ from .gaussian import (
     PredictedMeasurement,
     _measurement_values,
     _update_parallel,
-    innovation,
     joint_factor_from_moments,
     joint_factor_from_sigma,
     posterior_predictive_meas,
@@ -203,6 +202,16 @@ def _step_inputs(model: NonlinearSSM, y, variant) -> tuple[np.ndarray, np.ndarra
     return _measurement_values(y, model.meas_dim), model._rinv
 
 
+def _residual(yv: np.ndarray, mu: np.ndarray, angular: np.ndarray) -> np.ndarray:
+    """innovation(yv, mu, mask) for the model's angular index of that mask,
+    which the model checked when built: y - mu, with the angular entries
+    wrapped to (-pi, pi]."""
+    resid = yv - mu
+    if angular.size:
+        resid[angular] = wrap_angle(resid[angular])
+    return resid
+
+
 def _step_update(
     model: NonlinearSSM, prediction: GaussianBelief, yv, params: UTParams, variant
 ):
@@ -216,9 +225,9 @@ def _step_update(
     two Nones.  The parallel body trusts vinv: callers pass precisions in
     [0, 1 / R], which the model keeps finite.
     """
-    mask = model.angular_mask
     if variant == "serial":
         factor = _joint_factor(model, prediction, params)
+        mask = model.angular_mask
 
         def update(vinv):
             res = serial_conditioning(factor, yv, vinv, mask)
@@ -226,7 +235,7 @@ def _step_update(
 
         return update
     predmeas = predict_measurement(model, prediction, params)
-    resid = innovation(yv, predmeas.mu, mask)
+    resid = _residual(yv, predmeas.mu, model._angular)
     return lambda vinv: (_update_parallel(prediction, predmeas, resid, vinv), None, None)
 
 
@@ -285,13 +294,13 @@ def sor_step(
     if forced:
         # a read-only copy: the result must not alias the caller's array
         omega = np.array(force_indicators, dtype=float, ndmin=1)
-        omega.flags.writeable = False
+        omega.setflags(write=False)
         if omega.shape != (m,):
             raise ValueError(
                 f"force_indicators shape {omega.shape} does not match ({m},)"
             )
         # NaN fails both comparisons
-        if not (omega.min() >= 0.0 and omega.max() <= 1.0):
+        if not (np.minimum.reduce(omega) >= 0.0 and np.maximum.reduce(omega) <= 1.0):
             raise ValueError("force_indicators entries must lie in [0, 1]")
         vinv = omega / r_diag
     else:
@@ -307,11 +316,7 @@ def sor_step(
             iteration += 1
             if mu_pp is None:
                 mu_pp, udiag_pp = posterior_predictive_meas(model, update, params)
-            # innovation(yv, mu_pp, mask), wrapping through the model's index
-            resid = yv - mu_pp
-            if angular.size:
-                resid[angular] = wrap_angle(resid[angular])
-            w = resid**2 + udiag_pp
+            w = _residual(yv, mu_pp, angular) ** 2 + udiag_pp
             _check_w(w)
             omega = _omega_from_prior(w, prior, keep, two_r)
             prev_mean = update.mean

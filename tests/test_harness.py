@@ -435,6 +435,8 @@ class TestBenchRuntime:
             ((4, 8, 0), "even"),
             ((4, 8), "at least 3"),
             ((4, 8, 4), "at least 3 distinct"),
+            ((200.5, 400, 800), "must be integers"),
+            ((float("inf"), 400, 800), "must be integers"),
         ],
     )
     def test_m_values_checked_before_the_first_run(

@@ -149,15 +149,21 @@ def _outputs(world):
 
 
 def test_public_call_fallback_gives_identical_outputs(monkeypatch):
-    world = reference_worlds()[0]
-    routed = _outputs(world)
+    """With every private-numpy helper bound to its public call, as on numpy
+    1.x, a run gives the same bytes: on the first tracking world, whose msor
+    takes the bearing sweep, and on the last room, whose msor takes the
+    latent block; each calls the einsum helper."""
+    worlds = [reference_worlds()[index] for index in (0, -1)]
+    routed = [_outputs(world) for world in worlds]
     _bind_everywhere(monkeypatch, "_cholesky", np.linalg.cholesky)
     _bind_everywhere(monkeypatch, "_solve", np.linalg.solve)
-    assert gaussian._solve is np.linalg.solve
-    fallback = _outputs(world)
-    for name in FILTER_NAMES:
-        for got, want in zip(fallback[name], routed[name]):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    _bind_everywhere(monkeypatch, "_einsum", np.einsum)
+    assert gaussian._solve is np.linalg.solve and gaussian._einsum is np.einsum
+    for world, want_outputs in zip(worlds, routed):
+        fallback = _outputs(world)
+        for name in FILTER_NAMES:
+            for got, want in zip(fallback[name], want_outputs[name]):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.skipif(

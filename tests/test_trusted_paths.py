@@ -68,15 +68,25 @@ def _overflowing_case():
 
 
 class TestHoistedArithmetic:
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 12))
-    def test_update_parallel_equals_the_eye_formulation(self, seed, n, m):
-        # about 30% zero precisions, the rest spread over six decades
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        m=st.integers(1, 12),
+        fortran=st.booleans(),
+    )
+    def test_update_parallel_equals_the_eye_formulation(self, seed, n, m, fortran):
+        # about 30% zero precisions, the rest spread over six decades; a
+        # Fortran-ordered U must not turn the diagonal view into a copy
         rng = np.random.default_rng(seed)
         joint = _random_spd(rng, n + m, 0.5)
         belief = GaussianBelief(rng.standard_normal(n), joint[:n, :n])
         predmeas = PredictedMeasurement(
             mu=rng.standard_normal(m), U=joint[n:, n:], C=joint[:n, n:]
         )
+        if fortran:
+            predmeas = PredictedMeasurement._from_filter(
+                predmeas.mu, np.asfortranarray(predmeas.U), predmeas.C
+            )
         vinv = 10.0 ** rng.uniform(-3.0, 3.0, size=m)
         vinv[rng.random(m) < 0.3] = 0.0
         resid = rng.standard_normal(m)

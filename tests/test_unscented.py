@@ -120,6 +120,22 @@ class TestSigmaPointSet:
         with pytest.raises(ValueError, match="sum to 1"):
             SigmaPointSet(np.zeros((3, 1)), [0.1, 0.5, 0.5], [2.0, 0.5, 0.5])
 
+    def test_rejects_finite_mean_weights_whose_sum_is_nan(self):
+        # pairwise summation adds inf to -inf: the sum is NaN, not a warning
+        weights = [1e308] * 4 + [-1e308] * 4
+        with pytest.raises(ValueError, match="sum to 1"):
+            SigmaPointSet(np.zeros((8, 1)), weights, np.ones(8))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["points", "mean_weights", "cov_weights"])
+    def test_rejects_non_finite_points_and_weights(self, where, bad):
+        args = {"points": np.zeros((3, 1)), "mean_weights": [0.0, 0.5, 0.5],
+                "cov_weights": [1.0, 1.0, 1.0]}
+        args[where] = np.array(args[where], dtype=float)
+        args[where].flat[0] = bad
+        with pytest.raises(ValueError, match="sigma points and weights must be finite"):
+            SigmaPointSet(**args)
+
     def test_drawn_set_equals_the_public_constructor(self):
         rng = np.random.default_rng(11)
         belief = GaussianBelief(rng.standard_normal(3), _random_spd(rng, 3))
