@@ -32,7 +32,6 @@ from .unscented import (
     draw_sigma_points,
     eval_sigma_points,
     moments_from_values,
-    unscented_mean_vardiag,
 )
 
 
@@ -49,12 +48,17 @@ def _wrap_scalar(x: float) -> float:
 
 def innovation(y: np.ndarray, mu: np.ndarray, angular_mask=None) -> np.ndarray:
     """Residual y - mu with circular dimensions wrapped to (-pi, pi]."""
-    resid = np.asarray(y, dtype=float) - np.asarray(mu, dtype=float)
-    if angular_mask is not None:
-        mask = _check_angular(angular_mask, resid.size)
-        if mask.any():
-            resid = resid.copy()
-            resid[mask] = wrap_angle(resid[mask])
+    y, mu = np.asarray(y, dtype=float), np.asarray(mu, dtype=float)
+    mask = () if angular_mask is None else _check_angular(angular_mask, np.broadcast(y, mu).size)
+    return _residual(y, mu, np.flatnonzero(mask))
+
+
+def _residual(yv: np.ndarray, mu: np.ndarray, angular: np.ndarray) -> np.ndarray:
+    """innovation's arithmetic, for the index of a checked angular mask, as
+    the model keeps it: y - mu, with the angular entries wrapped to (-pi, pi]."""
+    resid = yv - mu
+    if angular.size:
+        resid[angular] = wrap_angle(resid[angular])
     return resid
 
 
@@ -416,4 +420,8 @@ def posterior_predictive_meas(
     """Per-dimension mean and variance of h(x) under the given state belief,
     from a fresh unscented transform."""
     sigma = draw_sigma_points(posterior, params)
-    return unscented_mean_vardiag(sigma, model.meas_fn, model.vectorized)
+    values = eval_sigma_points(sigma, model.meas_fn, model.vectorized)
+    mu = sigma.mean_weights @ values
+    dev = values - mu
+    # negative cov weights can push tiny variances below zero; clamp at zero
+    return mu, np.maximum(sigma.cov_weights @ (dev * dev), 0.0)

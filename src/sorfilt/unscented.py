@@ -180,17 +180,3 @@ def _mean_cov_dev(sigma: SigmaPointSet, values: np.ndarray):
     cov = symmetrize((sigma.cov_weights * dev.T) @ dev)
     return mu, cov, dev
 
-
-def unscented_mean_vardiag(
-    sigma: SigmaPointSet,
-    fn: Callable[[np.ndarray], np.ndarray],
-    vectorized: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and per-dimension variance of fn under sigma, skipping the full matrix."""
-    values = eval_sigma_points(sigma, fn, vectorized)
-    wm, wc = sigma.mean_weights, sigma.cov_weights
-    mu = wm @ values
-    dev = values - mu
-    # negative cov weights can push tiny variances below zero; clamp at zero
-    var = np.maximum(wc @ (dev * dev), 0.0)
-    return mu, var

@@ -19,8 +19,8 @@ from scipy.special import expit
 from .gaussian import (
     FilterNumericsError,
     JointFactor,
-    PredictedMeasurement,
     _measurement_values,
+    _residual,
     _update_parallel,
     joint_factor_from_moments,
     joint_factor_from_sigma,
@@ -28,15 +28,9 @@ from .gaussian import (
     predict,
     predict_measurement,
     serial_conditioning,
-    wrap_angle,
 )
 from .model import GaussianBelief, Measurement, NonlinearSSM
-from .unscented import (
-    UTParams,
-    draw_sigma_points,
-    eval_sigma_points,
-    moments_from_values,
-)
+from .unscented import UTParams, draw_sigma_points, eval_sigma_points
 
 Variant = Literal["parallel", "serial"]
 
@@ -185,12 +179,11 @@ def _check_variant(variant) -> None:
 def _joint_factor(
     model: NonlinearSSM, prediction: GaussianBelief, params: UTParams
 ) -> JointFactor:
-    sigma = draw_sigma_points(prediction, params)
-    values = eval_sigma_points(sigma, model.meas_fn, model.vectorized)
     if params.weights(prediction.dim).cov_weights_nonnegative:
+        sigma = draw_sigma_points(prediction, params)
+        values = eval_sigma_points(sigma, model.meas_fn, model.vectorized)
         return joint_factor_from_sigma(prediction, sigma, values)
-    predmeas = PredictedMeasurement._from_filter(*moments_from_values(sigma, values))
-    return joint_factor_from_moments(prediction, predmeas)
+    return joint_factor_from_moments(prediction, predict_measurement(model, prediction, params))
 
 
 def _step_inputs(model: NonlinearSSM, y, variant) -> tuple[np.ndarray, np.ndarray]:
@@ -200,16 +193,6 @@ def _step_inputs(model: NonlinearSSM, y, variant) -> tuple[np.ndarray, np.ndarra
     read-only when it was built."""
     _check_variant(variant)
     return _measurement_values(y, model.meas_dim), model._rinv
-
-
-def _residual(yv: np.ndarray, mu: np.ndarray, angular: np.ndarray) -> np.ndarray:
-    """innovation(yv, mu, mask) for the model's angular index of that mask,
-    which the model checked when built: y - mu, with the angular entries
-    wrapped to (-pi, pi]."""
-    resid = yv - mu
-    if angular.size:
-        resid[angular] = wrap_angle(resid[angular])
-    return resid
 
 
 def _step_update(

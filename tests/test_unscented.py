@@ -8,12 +8,13 @@ import pytest
 from sorfilt import (
     FilterNumericsError,
     GaussianBelief,
+    NonlinearSSM,
     SigmaPointSet,
     UTParams,
     draw_sigma_points,
     eval_sigma_points,
     moments_from_values,
-    unscented_mean_vardiag,
+    posterior_predictive_meas,
 )
 
 
@@ -300,13 +301,21 @@ class TestEvalSigmaPoints:
             eval_sigma_points(sigma, fn)
 
 
+def _meas_model(n, m, fn):
+    """A model whose measurement map is fn; its process map is never used."""
+    return NonlinearSSM(n, m, lambda x: x, fn, np.eye(n), np.ones(m))
+
+
 class TestMeanVardiag:
+    """posterior_predictive_meas: the per-dimension moments of h, without the
+    full matrix."""
+
     def test_matches_full_moments_diagonal(self):
         rng = np.random.default_rng(5)
         belief = GaussianBelief(rng.standard_normal(3), _random_spd(rng, 3))
-        sigma = draw_sigma_points(belief, UTParams())
         fn = lambda x: np.array([np.sin(x[0]), x[1] * x[2]])  # noqa: E731
-        mu_a, var = unscented_mean_vardiag(sigma, fn)
+        mu_a, var = posterior_predictive_meas(_meas_model(3, 2, fn), belief, UTParams())
+        sigma = draw_sigma_points(belief, UTParams())
         mu_b, u, _ = moments_from_values(sigma, eval_sigma_points(sigma, fn))
         assert np.allclose(mu_a, mu_b)
         assert np.allclose(var, np.diag(u), rtol=1e-12, atol=1e-12)
@@ -316,6 +325,6 @@ class TestMeanVardiag:
         for _ in range(30):
             n = int(rng.integers(1, 5))
             belief = GaussianBelief(rng.standard_normal(n), _random_spd(rng, n, 0.01))
-            sigma = draw_sigma_points(belief, UTParams())
-            _, var = unscented_mean_vardiag(sigma, lambda x: np.tanh(x))
+            model = _meas_model(n, n, lambda x: np.tanh(x))
+            _, var = posterior_predictive_meas(model, belief, UTParams())
             assert np.all(var >= 0.0)
