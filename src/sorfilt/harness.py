@@ -19,6 +19,7 @@ import yaml
 from .model import GaussianBelief, Measurement, chol_lower
 from .tracking import (
     TRACKING_X0,
+    _POSITION,
     CorruptionConfig,
     SensorField,
     TurnModelConfig,
@@ -225,10 +226,6 @@ def _filter_outcome(name, model, init, measurements, cfg, params, truth, positio
     return FilterRunOutcome(estimates, omegas, iterations, rmse, seconds)
 
 
-# x and y of the turn model's (x, vx, y, vy, w) state
-_TRACKING_XY = [0, 2]
-
-
 def _tracking_world(cfg: ScenarioConfig, run_index: int):
     """(model, init, measurements, true positions) of one Monte Carlo run,
     drawn from run_rng(cfg.seed, run_index) alone."""
@@ -267,7 +264,7 @@ def run_tracking_single(
     and per-filter outcomes.
     """
     model, init, measurements, truth = _tracking_world(cfg, run_index)
-    world = (model, init, measurements, cfg.indicator, cfg.ut, truth, _TRACKING_XY)
+    world = (model, init, measurements, cfg.indicator, cfg.ut, truth, _POSITION)
     return truth, {name: _filter_outcome(name, *world) for name in cfg.filters}
 
 
@@ -300,7 +297,7 @@ def run_sweep(cfg: ScenarioConfig) -> dict:
             except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
                 failures.append(_failure(value, run_index, None, exc))
                 continue
-            world = (model, init, measurements, point.indicator, point.ut, truth, _TRACKING_XY)
+            world = (model, init, measurements, point.indicator, point.ut, truth, _POSITION)
             for name in cfg.filters:
                 try:
                     outcome = _filter_outcome(name, *world)

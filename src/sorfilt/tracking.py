@@ -10,7 +10,9 @@ import numpy as np
 
 from .model import MISSING_SENTINEL, NonlinearSSM, _frozen_array, chol_lower
 
-# state layout: [a, a_dot, b, b_dot, omega]
+# state layout: [a, a_dot, b, b_dot, omega]; the position (a, b) is the
+# columns _POSITION of a (K, 5) array of states
+_POSITION = [0, 2]
 TRACKING_X0 = np.array([-10000.0, 10.0, 5000.0, -5.0, -0.0524])
 
 OMEGA_CV_LIMIT = 1e-9
@@ -227,7 +229,7 @@ class TrajectoryData:
 
     @property
     def positions(self) -> np.ndarray:
-        return self.states[:, [0, 2]]
+        return self.states[:, _POSITION]
 
 
 def simulate_trajectory(

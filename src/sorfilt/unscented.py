@@ -149,9 +149,9 @@ def eval_sigma_points(
         if out.ndim < 2:
             out = np.atleast_2d(out)
     else:
-        out = np.stack(
-            [np.atleast_1d(np.asarray(fn(p), dtype=float)) for p in sigma.points]
-        )
+        out = np.array([fn(p) for p in sigma.points], dtype=float)
+        if out.ndim < 2:  # scalar images: one column
+            out = out.reshape(-1, 1)
     if out.shape[0] != sigma.points.shape[0]:
         raise ValueError("map output count does not match sigma point count")
     if not np.logical_and.reduce(np.isfinite(out), None):

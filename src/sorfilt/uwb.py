@@ -186,9 +186,17 @@ def uwb_measurement_model(anchors: AnchorSet, tag_z: float = 0.0) -> NonlinearSS
 
 
 def encode_measurements(steps: list[StepRecord], num_anchors: int) -> np.ndarray:
-    """Stack step readings into a dense (K, A) array, 0.0 where missing."""
+    """Stack step readings into a dense (K, A) array, 0.0 where missing.
+
+    Each record must hold one entry per anchor; any other length is refused.
+    """
     out = np.full((len(steps), num_anchors), MISSING_SENTINEL)
     for k, record in enumerate(steps):
+        if len(record.ranges) != num_anchors:
+            raise ValueError(
+                f"step {record.step_index}: {len(record.ranges)} range entries "
+                f"for {num_anchors} anchors"
+            )
         for j, reading in enumerate(record.ranges):
             if reading is not None:
                 out[k, j] = reading

@@ -42,10 +42,15 @@ DELTA_DENOM_FLOOR = 1e-12
 @dataclass(frozen=True)
 class IndicatorConfig:
     """Indicator-model parameters: outlier floor eps, no-outlier prior theta,
-    convergence threshold tau, and the iteration cap."""
+    convergence threshold tau, and the iteration cap.
+
+    theta_prior is one probability for every dimension or a vector of one
+    per dimension; a vector is kept as a tuple of floats, so configs
+    compare and hash by value.
+    """
 
     epsilon: float = 1e-6
-    theta_prior: float | np.ndarray = 0.5
+    theta_prior: float | tuple[float, ...] = 0.5
     tau: float = 1e-4
     max_iters: int = 50
 
@@ -53,9 +58,13 @@ class IndicatorConfig:
         # each check is written so that a NaN fails it
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie strictly inside (0, 1)")
-        theta = np.atleast_1d(np.asarray(self.theta_prior, dtype=float))
+        theta = np.asarray(self.theta_prior, dtype=float)
+        if theta.ndim > 1:
+            raise ValueError("theta_prior must be a number or a vector")
         if not (theta.min(initial=0.5) > 0.0 and theta.max(initial=0.5) < 1.0):
             raise ValueError("theta_prior entries must lie strictly inside (0, 1)")
+        prior = theta.tolist()  # a float, or a list of floats for a vector
+        object.__setattr__(self, "theta_prior", tuple(prior) if theta.ndim else prior)
         if not self.tau > 0.0:
             raise ValueError("tau must be > 0")
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
@@ -80,8 +89,6 @@ class IndicatorConfig:
                 theta = np.full(m, theta[0])
             elif theta.size != m:
                 raise ValueError(f"theta_prior length {theta.size} does not match m={m}")
-            else:
-                theta = theta.copy()
             log_odds = _prior_log_odds(theta, self.epsilon)
             theta.flags.writeable = log_odds.flags.writeable = False
             cached = self._per_m[m] = (theta, log_odds)

@@ -9,6 +9,7 @@ keep as the reference.
 """
 
 import importlib
+import math
 import sys
 from pathlib import Path
 
@@ -18,7 +19,16 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from reference_outputs import reference_worlds
 
-from sorfilt import FilterNumericsError, Measurement, innovation, model
+from sorfilt import (
+    FilterNumericsError,
+    GaussianBelief,
+    IndicatorConfig,
+    Measurement,
+    NonlinearSSM,
+    UTParams,
+    innovation,
+    model,
+)
 from sorfilt.gaussian import _check_vinv, _measurement_values, predict
 from sorfilt.unscented import SigmaPointSet, eval_sigma_points
 from sorfilt.vb import _residual, sor_step, ukf_step
@@ -47,10 +57,26 @@ def _step(name, ssm, belief, meas, cfg, params):
     return sor_step(ssm, prediction, meas, cfg, params, variant).posterior
 
 
+def _per_point_world():
+    """A world whose maps take one point at a time (vectorized=False): a
+    random walk in the plane and the range to one beacon, a scalar image."""
+    ssm = NonlinearSSM(
+        2, 1, lambda x: x, lambda x: math.hypot(x[0] - 3.0, x[1] + 1.0),
+        0.01 * np.eye(2), [0.25],
+    )
+    rng = np.random.default_rng(19)
+    ranges = np.hypot(*(rng.normal(0.0, 0.1, (12, 2)).cumsum(axis=0) - [3.0, -1.0]).T)
+    ranges[5] += 30.0  # an outlier, so that the VB loop iterates
+    measurements = [Measurement(k + 1, ranges[k : k + 1]) for k in range(12)]
+    init = GaussianBelief(np.zeros(2), 0.1 * np.eye(2))
+    return "per_point", (ssm, init, measurements), IndicatorConfig(), UTParams()
+
+
 @pytest.mark.skipif(not NUMPY_2, reason="numpy 1.x has no c_einsum; the helpers fall back")
 def test_a_step_enters_no_numpy_python_helper():
-    """Each filter on each reference world: the first step fills the weight
-    and prior caches, and the next ten run under the profiler."""
+    """Each filter on each reference world and on one world of per-point
+    maps: the first step fills the weight and prior caches, and the next ten
+    run under the profiler."""
     helper_files = _helper_files()
     entered = []
 
@@ -60,7 +86,8 @@ def test_a_step_enters_no_numpy_python_helper():
             if path in helper_files:
                 entered.append((frame.f_code.co_filename, frame.f_code.co_name))
 
-    for world, (ssm, init, measurements), cfg, params in reference_worlds():
+    worlds = [*reference_worlds(), _per_point_world()]
+    for world, (ssm, init, measurements), cfg, params in worlds:
         for name in ("ukf", "sor", "msor"):
             belief = _step(name, ssm, init, measurements[0], cfg, params)
             for meas in measurements[1:11]:

@@ -300,6 +300,18 @@ class TestEvalSigmaPoints:
         with pytest.raises(FilterNumericsError, match="sigma point 1"):
             eval_sigma_points(sigma, fn)
 
+    def test_per_point_images_as_the_stacked_form(self):
+        sigma = draw_sigma_points(GaussianBelief([0.3, -1.0], np.eye(2)), UTParams())
+        for fn in (lambda x: float(x @ x), lambda x: [x[0], x[1] ** 3], lambda x: np.exp(x)):
+            want = np.stack([np.atleast_1d(np.asarray(fn(p), dtype=float)) for p in sigma.points])
+            got = eval_sigma_points(sigma, fn)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_ragged_per_point_images_are_refused(self):
+        sigma = draw_sigma_points(GaussianBelief([0.0], [[1.0]]), UTParams())
+        with pytest.raises(ValueError):
+            eval_sigma_points(sigma, lambda x: np.ones(1 + int(x[0] > 0.5)))
+
 
 def _meas_model(n, m, fn):
     """A model whose measurement map is fn; its process map is never used."""

@@ -185,6 +185,20 @@ class TestEncodeMeasurements:
             [[1.0, 3.5, 0.0], [0.0, 3.0, 4.25], [0.0, 0.0, 0.0]],
         )
 
+    @pytest.mark.parametrize(
+        "ranges",
+        [(1.0, 3.5), (1.0, 3.5, None, None), (1.0, 3.5, None, 2.0)],
+        ids=["short", "long, extra entry missing", "long, extra entry a reading"],
+    )
+    def test_ranges_of_another_length_are_refused(self, ranges):
+        anchors, steps = _toy_dataset()
+        steps[1] = StepRecord(7, (1.0, 0.5), ranges)
+        with pytest.raises(ValueError, match=f"step 7: {len(ranges)} range entries for 3 anchors"):
+            encode_measurements(steps, 3)
+        # run_localization encodes before any filter step runs
+        with pytest.raises(ValueError, match="step 7: "):
+            run_localization(anchors, steps)
+
 
 class TestSyntheticDataset:
     def test_shape_and_activity_invariants(self):

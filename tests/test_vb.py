@@ -202,6 +202,21 @@ class TestIndicatorTypes:
         assert not first.flags.writeable
         assert cfg.thetas(2).shape == (2,)
 
+    def test_config_vector_theta_compares_by_value(self):
+        a = IndicatorConfig(theta_prior=np.array([0.2, 0.8]))
+        b = IndicatorConfig(theta_prior=[0.2, 0.8])
+        assert a == b and hash(a) == hash(b)
+        assert a != IndicatorConfig(theta_prior=np.array([0.2, 0.7]))
+        assert len({a, b, IndicatorConfig()}) == 2
+        # a bad length is never cached: every call raises
+        for _ in range(2):
+            with pytest.raises(ValueError, match="theta_prior length 2 does not match m=3"):
+                a.thetas(3)
+
+    def test_config_rejects_matrix_theta(self):
+        with pytest.raises(ValueError, match="theta_prior must be a number or a vector"):
+            IndicatorConfig(theta_prior=np.full((2, 2), 0.5))
+
     def test_config_vector_theta_is_copied(self):
         prior = np.array([0.2, 0.6, 0.9])
         cfg = IndicatorConfig(theta_prior=prior)
