@@ -47,9 +47,15 @@ def _wrap_scalar(x: float) -> float:
 
 
 def innovation(y: np.ndarray, mu: np.ndarray, angular_mask=None) -> np.ndarray:
-    """Residual y - mu with circular dimensions wrapped to (-pi, pi]."""
+    """Residual y - mu with circular dimensions wrapped to (-pi, pi]; with a
+    mask, the residual must be a vector."""
     y, mu = np.asarray(y, dtype=float), np.asarray(mu, dtype=float)
-    mask = () if angular_mask is None else _check_angular(angular_mask, np.broadcast(y, mu).size)
+    mask = ()
+    if angular_mask is not None:
+        shape = np.broadcast(y, mu).shape
+        if len(shape) != 1:
+            raise ValueError(f"a residual of shape {shape} cannot take an angular_mask")
+        mask = _check_angular(angular_mask, shape[0])
     return _residual(y, mu, np.flatnonzero(mask))
 
 

@@ -10,8 +10,8 @@ import numpy as np
 
 from .model import MISSING_SENTINEL, NonlinearSSM, _frozen_array, chol_lower
 
-# state layout: [a, a_dot, b, b_dot, omega]; the position (a, b) is the
-# columns _POSITION of a (K, 5) array of states
+# state layout: [a, a_dot, b, b_dot, omega]; _POSITION indexes the position
+# (a, b), as in states[:, _POSITION]
 _POSITION = [0, 2]
 TRACKING_X0 = np.array([-10000.0, 10.0, 5000.0, -5.0, -0.0524])
 

@@ -28,6 +28,7 @@ from sorfilt import (
     UTParams,
     innovation,
     model,
+    wrap_angle,
 )
 from sorfilt.gaussian import _check_vinv, _measurement_values, predict
 from sorfilt.unscented import SigmaPointSet, eval_sigma_points
@@ -206,5 +207,9 @@ def test_einsum_helper_is_the_c_function():
     mask=arrays(np.bool_, 6),
 )
 def test_residual_equals_innovation(y, mu, mask):
-    got = _residual(y, mu, np.flatnonzero(mask))
-    assert got.tobytes() == innovation(y, mu, mask).tobytes()
+    """innovation and the loop's _residual, which innovation calls, against
+    the boolean-mask form of the wrapped residual."""
+    want = y - mu
+    want[mask] = wrap_angle(want[mask])
+    assert _residual(y, mu, np.flatnonzero(mask)).tobytes() == want.tobytes()
+    assert innovation(y, mu, mask).tobytes() == want.tobytes()

@@ -115,6 +115,15 @@ class TestAngularMaskLength:
         with pytest.raises(ValueError, match="angular_mask length .* meas dim 3"):
             innovation(np.zeros(3), np.zeros(3), mask)
 
+    @pytest.mark.parametrize(
+        "y, mu, mask",
+        [(4.0, 0.0, [True]), (np.array([4.0, 5.0]), np.zeros((1, 2)), [True, False])],
+        ids=["0-d", "1 x 2"],
+    )
+    def test_innovation_rejects_a_residual_that_is_not_a_vector(self, y, mu, mask):
+        with pytest.raises(ValueError, match=r"residual of shape \(.*\) cannot take"):
+            innovation(y, mu, mask)
+
     @pytest.mark.parametrize("mask", [[True], [True, False, False, True]])
     def test_update_parallel_rejects(self, mask):
         belief, predmeas = _random_joint_instance(np.random.default_rng(16), 2, 3)
