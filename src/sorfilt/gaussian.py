@@ -20,6 +20,7 @@ from .model import (
     GaussianBelief,
     Measurement,
     NonlinearSSM,
+    _count_nonzero,
     _einsum,
     _is_symmetric,
     _solve,
@@ -115,11 +116,10 @@ class PredictedMeasurement:
         return predmeas
 
     def _set_finite(self, mu: np.ndarray, U: np.ndarray, C: np.ndarray) -> None:
-        all_of = np.logical_and.reduce
-        if not (
-            all_of(np.isfinite(mu), None)
-            and all_of(np.isfinite(U), None)
-            and all_of(np.isfinite(C), None)
+        if (
+            _count_nonzero(np.isfinite(mu)) != mu.size
+            or _count_nonzero(np.isfinite(U)) != U.size
+            or _count_nonzero(np.isfinite(C)) != C.size
         ):
             raise ValueError("predicted measurement contains non-finite entries")
         object.__setattr__(self, "mu", mu)
@@ -164,9 +164,8 @@ def _check_vinv(vinv, m: int) -> np.ndarray:
         vinv = np.atleast_1d(vinv)
     if vinv.shape != (m,):
         raise ValueError(f"Vinv_diag length {vinv.shape} does not match meas dim {m}")
-    # ufunc reductions, without ndarray.min's Python wrapper; NaN fails both
-    # comparisons, and an empty vinv passes
-    if m and not (np.minimum.reduce(vinv) >= 0.0 and np.maximum.reduce(vinv) < np.inf):
+    # NaN fails both comparisons, and an empty vinv passes
+    if _count_nonzero(vinv >= 0.0) != m or _count_nonzero(vinv < np.inf) != m:
         raise ValueError("Vinv_diag entries must be finite and >= 0")
     return vinv
 
@@ -238,7 +237,7 @@ def joint_factor_from_sigma(
     callers can fall back to the dense factorization.
     """
     wc = sigma.cov_weights
-    if np.logical_or.reduce(wc < 0.0, None):
+    if _count_nonzero(wc < 0.0):
         raise ValueError("sigma covariance weights must be nonnegative for factoring")
     sw = np.sqrt(wc)
     mu = sigma.mean_weights @ values
@@ -314,7 +313,7 @@ def serial_conditioning(
     vinv = _check_vinv(vinv_diag, m)
     yv = _measurement_values(y, m)
     mask = None if angular_mask is None else _check_angular(angular_mask, m)
-    if mask is None or not np.logical_or.reduce(mask, None):
+    if mask is None or not _count_nonzero(mask):
         return _latent_block(factor, yv, vinv)
     angular = mask.tolist()
 
@@ -377,7 +376,7 @@ def _latent_block(
     lam = dw @ ez  # C-ordered, as every matmul result, so reshape is a view
     lam.reshape(-1)[:: r + 1] += 1.0
     # OpenBLAS's dpotrf factors inf and NaN entries without complaint
-    if not np.logical_and.reduce(np.isfinite(lam), None):
+    if _count_nonzero(np.isfinite(lam)) != lam.size:
         raise FilterNumericsError("non-finite latent precision I + Ez^T Vinv Ez")
     # (a, lower, clean): only the lower triangle is read or written
     chol, info = dpotrf(lam, 1, 0)

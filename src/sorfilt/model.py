@@ -41,10 +41,13 @@ def _is_symmetric(mat: Matrix, rtol: float = SYMMETRY_RTOL) -> bool:
     return bool(skew <= rtol * max(1.0, np.abs(mat).max(initial=0.0)))
 
 
-try:  # numpy >= 2: the C entry points of np.einsum and np.linalg, and linalg's error callbacks
+try:  # numpy >= 2: the C entry points of np.einsum, np.count_nonzero and np.linalg,
+    # and linalg's error callbacks
     from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
     # what np.einsum calls when it does not optimize, so the results are np.einsum's
     from numpy._core.multiarray import c_einsum as _einsum
+    # what np.count_nonzero calls for a whole array, without its Python dispatcher
+    from numpy._core.multiarray import count_nonzero as _count_nonzero
     from numpy.linalg import _umath_linalg
     from numpy.linalg._linalg import (
         _raise_linalgerror_nonposdef,
@@ -53,6 +56,7 @@ try:  # numpy >= 2: the C entry points of np.einsum and np.linalg, and linalg's 
 except ImportError:  # the names are private numpy API: fall back to the public calls
     _cholesky, _solve = np.linalg.cholesky, np.linalg.solve
     _einsum = np.einsum
+    _count_nonzero = np.count_nonzero
 else:
     # the error states that np.linalg.cholesky and solve build on every call, built once
     _IGNORED = {"over": "ignore", "divide": "ignore", "under": "ignore"}
@@ -144,7 +148,10 @@ class GaussianBelief:
         n = mean.size
         if cov.shape != (n, n):
             raise ValueError(f"cov shape {cov.shape} does not match state dim {n}")
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        if (
+            _count_nonzero(np.isfinite(mean)) != n
+            or _count_nonzero(np.isfinite(cov)) != cov.size
+        ):
             raise ValueError("belief contains non-finite entries")
         if not _is_symmetric(cov):
             raise ValueError("cov is not symmetric within tolerance")
@@ -166,8 +173,10 @@ class GaussianBelief:
         non-finite factor instead of raising.
         """
         sym, root = _spd_factor(cov, name)
-        all_of = np.logical_and.reduce  # ndarray.all without its Python wrapper
-        if not (all_of(np.isfinite(mean), None) and all_of(np.isfinite(sym), None)):
+        if (
+            _count_nonzero(np.isfinite(mean)) != mean.size
+            or _count_nonzero(np.isfinite(sym)) != sym.size
+        ):
             raise ValueError("belief contains non-finite entries")
         belief = object.__new__(cls)
         belief._freeze(mean, sym, root)
@@ -253,14 +262,17 @@ class Measurement:
     def __post_init__(self) -> None:
         try:
             bad_index = int(self.time_index) != self.time_index or self.time_index < 1
-        except (OverflowError, ValueError):  # int() of an infinity or a NaN
+        # int() of an infinity, a NaN, None or a complex number
+        except (OverflowError, TypeError, ValueError):
             bad_index = True
         if bad_index:
             raise ValueError("time_index must be an integer >= 1")
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim < 1:
+            values = np.atleast_1d(values)
         if values.ndim != 1:
             raise ValueError("values must be a vector")
-        if not np.isfinite(values).all():
+        if _count_nonzero(np.isfinite(values)) != values.size:
             raise ValueError("measurement values must be finite")
         object.__setattr__(self, "time_index", int(self.time_index))
         object.__setattr__(self, "values", _frozen_array(values))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MISSING_SENTINEL, NonlinearSSM, _frozen_array, chol_lower
+from .model import MISSING_SENTINEL, NonlinearSSM, _count_nonzero, _frozen_array, chol_lower
 
 # state layout: [a, a_dot, b, b_dot, omega]; _POSITION indexes the position
 # (a, b), as in states[:, _POSITION]
@@ -62,7 +62,7 @@ def turn_transition(state, cfg: TurnModelConfig):
     wdt = omega * cfg.dt
     sin_w, cos_w = np.sin(wdt), np.cos(wdt)
     near_zero = np.abs(omega) < OMEGA_CV_LIMIT
-    if np.logical_or.reduce(near_zero, None):
+    if _count_nonzero(near_zero):
         safe = np.where(near_zero, 1.0, omega)
         coef_a = np.where(near_zero, cfg.dt, sin_w / safe)
         coef_d = np.where(near_zero, 0.0, (1.0 - cos_w) / safe)
@@ -150,7 +150,7 @@ def clean_measurement(state, field: SensorField):
     db = x[..., 2:3] - field._y
     out = np.hypot(da, db)
     p = field.num_pairs
-    if np.logical_or.reduce(out[..., :p] == 0.0, None):
+    if _count_nonzero(out[..., :p] == 0.0):
         raise ValueError("target position coincides with a bearing sensor")
     np.arctan2(db[..., :p], da[..., :p], out=out[..., :p])
     return out

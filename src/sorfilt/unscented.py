@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import FilterNumericsError, GaussianBelief, symmetrize
+from .model import FilterNumericsError, GaussianBelief, _count_nonzero, symmetrize
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,11 @@ class SigmaPointSet:
         wc = np.asarray(self.cov_weights, dtype=float)
         if points.shape[0] != wm.size or wm.size != wc.size:
             raise ValueError("points and weights disagree in count")
-        if not (np.isfinite(points).all() and np.isfinite(wm).all() and np.isfinite(wc).all()):
+        if (
+            _count_nonzero(np.isfinite(points)) != points.size
+            or _count_nonzero(np.isfinite(wm)) != wm.size
+            or _count_nonzero(np.isfinite(wc)) != wc.size
+        ):
             raise ValueError("sigma points and weights must be finite")
         # finite weights can sum to inf or NaN, which must fail, not warn
         with np.errstate(over="ignore", invalid="ignore"):
@@ -154,10 +158,10 @@ def eval_sigma_points(
             out = out.reshape(-1, 1)
     if out.shape[0] != sigma.points.shape[0]:
         raise ValueError("map output count does not match sigma point count")
-    if not np.logical_and.reduce(np.isfinite(out), None):
+    finite = np.isfinite(out)
+    if _count_nonzero(finite) != out.size:
         # scan by row only on failure, to name the first bad point
-        finite_rows = np.all(np.isfinite(out), axis=1)
-        bad = int(np.flatnonzero(~finite_rows)[0])
+        bad = int(np.flatnonzero(~np.all(finite, axis=1))[0])
         raise FilterNumericsError(f"map produced non-finite output at sigma point {bad}")
     return out
 

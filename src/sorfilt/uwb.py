@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import MISSING_SENTINEL, NonlinearSSM
+from .model import MISSING_SENTINEL, NonlinearSSM, _count_nonzero
 
 MAX_ACTIVE_RANGES = 4
 SYNTHETIC_ANCHORS = 11  # in make_synthetic_dataset's room, the last never reports
@@ -42,7 +42,7 @@ class AnchorSet:
             raise ValueError("positions must be (len(ids), 3)")
         if len(set(ids)) != len(ids):
             raise ValueError("anchor ids must be unique")
-        if not np.all(np.isfinite(positions)):
+        if _count_nonzero(np.isfinite(positions)) != positions.size:
             raise ValueError("anchor coordinates must be finite")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "positions", positions)
@@ -64,17 +64,22 @@ class StepRecord:
     ranges: tuple[float | None, ...]
 
     def __post_init__(self) -> None:
-        truth = np.atleast_1d(np.asarray(self.truth, dtype=float))
-        if truth.shape != (2,) or not np.all(np.isfinite(truth)):
+        truth = np.asarray(self.truth, dtype=float)
+        if truth.shape != (2,) or _count_nonzero(np.isfinite(truth)) != 2:
             raise ValueError("truth must be a finite (x, y) pair")
-        ranges = tuple(None if r is None else float(r) for r in self.ranges)
+        finite_error = f"step {self.step_index}: ranges must be finite and >= 0"
+        readings = tuple(self.ranges)
+        try:
+            ranges = tuple(None if r is None else float(r) for r in readings)
+        except (TypeError, ValueError) as exc:  # a reading float() cannot take, such as "x"
+            raise ValueError(finite_error) from exc
         present = [r for r in ranges if r is not None]
         if len(present) > MAX_ACTIVE_RANGES:
             raise ValueError(
                 f"step {self.step_index}: more than {MAX_ACTIVE_RANGES} range readings"
             )
         if any(not math.isfinite(r) or r < 0.0 for r in present):
-            raise ValueError(f"step {self.step_index}: ranges must be finite and >= 0")
+            raise ValueError(finite_error)
         object.__setattr__(self, "truth", truth)
         object.__setattr__(self, "ranges", ranges)
 

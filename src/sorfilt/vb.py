@@ -29,7 +29,7 @@ from .gaussian import (
     predict_measurement,
     serial_conditioning,
 )
-from .model import GaussianBelief, Measurement, NonlinearSSM
+from .model import GaussianBelief, Measurement, NonlinearSSM, _count_nonzero
 from .unscented import UTParams, draw_sigma_points, eval_sigma_points
 
 Variant = Literal["parallel", "serial"]
@@ -153,11 +153,8 @@ def omega_update(W_ii, R_ii, theta, epsilon):
 
 
 def _check_w(w: np.ndarray) -> None:
-    # min/max ufunc reductions over every axis, without ndarray.min's Python
-    # wrapper; a NaN fails every comparison, and empty W passes
-    if w.size and not (
-        np.minimum.reduce(w, None) >= 0.0 and np.maximum.reduce(w, None) < np.inf
-    ):
+    # a NaN fails both comparisons, and empty W passes
+    if _count_nonzero(w >= 0.0) != w.size or _count_nonzero(w < np.inf) != w.size:
         raise ValueError("W_ii must be finite and >= 0")
 
 
@@ -290,7 +287,7 @@ def sor_step(
                 f"force_indicators shape {omega.shape} does not match ({m},)"
             )
         # NaN fails both comparisons
-        if not (np.minimum.reduce(omega) >= 0.0 and np.maximum.reduce(omega) <= 1.0):
+        if _count_nonzero(omega >= 0.0) != m or _count_nonzero(omega <= 1.0) != m:
             raise ValueError("force_indicators entries must lie in [0, 1]")
         vinv = omega / r_diag
     else:
