@@ -1,11 +1,12 @@
 """A filter step calls numpy's C entry points, not its pure-Python helpers.
 
-The step's checks use ufunc reductions instead of ndarray.all/any, its shape
-helpers run only on inputs of too few dimensions, its diagonal shifts use a
-strided view instead of np.eye or .flat, and its einsum is the C function
-np.einsum calls.  Each rewrite must return the same arrays and raise the
-same errors as the helper-based form it replaced, which the tests below
-keep as the reference.
+The step's checks count an elementwise test with the C function that
+np.count_nonzero calls, instead of ndarray.all/any or a ufunc reduction, its
+shape helpers run only on inputs of too few dimensions, its diagonal shifts
+use a strided view instead of np.eye or .flat, and its einsum is the C
+function np.einsum calls.  Each rewrite must return the same arrays and
+raise the same errors as the form it replaced, which the tests below keep
+as the reference.
 """
 
 import importlib
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from reference_outputs import reference_worlds
 
@@ -23,6 +24,7 @@ from sorfilt import (
     FilterNumericsError,
     GaussianBelief,
     IndicatorConfig,
+    JointFactor,
     Measurement,
     NonlinearSSM,
     UTParams,
@@ -30,9 +32,15 @@ from sorfilt import (
     model,
     wrap_angle,
 )
-from sorfilt.gaussian import _check_vinv, _measurement_values, predict
+from sorfilt.gaussian import (
+    PredictedMeasurement,
+    _check_vinv,
+    _latent_block,
+    _measurement_values,
+    predict,
+)
 from sorfilt.unscented import SigmaPointSet, eval_sigma_points
-from sorfilt.vb import _residual, sor_step, ukf_step
+from sorfilt.vb import _check_w, _residual, sor_step, ukf_step
 
 # numpy's pure-Python helper modules that a step must not enter
 HELPER_MODULES = (
@@ -176,6 +184,107 @@ class TestShapeConversions:
         assert got == _outcome(_eval_reference, sigma, lambda points: value)
 
 
+# --- the counted checks against the ufunc reductions they replaced ------------
+# _check_vinv's range check is compared with its reduction form above, and
+# eval_sigma_points' finiteness check with ndarray.all
+
+
+def _verdict(fn, *args):
+    """("ok",) when fn returns, ("raised", type, message) when it refuses."""
+    try:
+        fn(*args)
+    except (ValueError, FilterNumericsError) as exc:
+        return ("raised", type(exc), str(exc))
+    return ("ok",)
+
+
+def _all_finite_reference(*arrays) -> bool:
+    return all(np.logical_and.reduce(np.isfinite(a), None) for a in arrays)
+
+
+def _check_w_reference(w):
+    if w.size and not (
+        np.minimum.reduce(w, None) >= 0.0 and np.maximum.reduce(w, None) < np.inf
+    ):
+        raise ValueError("W_ii must be finite and >= 0")
+
+
+def _measurement_reference(values):
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    if values.ndim != 1:
+        raise ValueError("values must be a vector")
+    if not np.isfinite(values).all():
+        raise ValueError("measurement values must be finite")
+    return values
+
+
+# NaN, both infinities, -0.0, a negative, an empty vector and a 0-d array,
+# beside whatever _ARRAYS draws
+_SPECIAL_ARRAYS = [
+    np.array([np.nan]), np.array([1.0, np.inf]), np.array([-np.inf, 0.0]),
+    np.array([-0.0, 2.0]), np.array([3.0, -1e-300]), np.empty(0), np.array(np.inf),
+    np.array(-0.0),
+]
+
+
+def _with_special_arrays(test):
+    for value in _SPECIAL_ARRAYS:
+        test = example(value)(test)
+    return test
+
+
+class TestCountedChecks:
+    @_with_special_arrays
+    @given(_ARRAYS)
+    def test_check_w(self, w):
+        assert _verdict(_check_w, w) == _verdict(_check_w_reference, w)
+
+    @_with_special_arrays
+    @given(_ARRAYS)
+    def test_predicted_measurement_finiteness(self, value):
+        """Each of mu, U and C in turn holds the drawn array."""
+        finite = np.zeros(1)
+        for args in ((value, finite, finite), (finite, value, finite), (finite, finite, value)):
+            got = _verdict(PredictedMeasurement._from_filter, *args)
+            refused = ("raised", ValueError, "predicted measurement contains non-finite entries")
+            assert got == (("ok",) if _all_finite_reference(*args) else refused)
+
+    @_with_special_arrays
+    @given(_ARRAYS)
+    def test_belief_finiteness(self, value):
+        """The trusted and the checked constructor, on a mean vector with an
+        identity covariance, which factors."""
+        mean = value.reshape(-1)
+        if not mean.size:
+            mean = np.zeros(1)
+        cov = np.eye(mean.size)
+        refused = ("raised", ValueError, "belief contains non-finite entries")
+        want = ("ok",) if _all_finite_reference(mean) else refused
+        assert _verdict(GaussianBelief._from_filter, mean, cov, "cov") == want
+        assert _verdict(GaussianBelief, mean, cov) == want
+
+    @_with_special_arrays
+    @given(_INPUTS)
+    def test_measurement_values(self, values):
+        got = _outcome(lambda v: Measurement(1, v).values, values)
+        assert got == _outcome(_measurement_reference, values)
+
+    @given(ez=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 4)),
+                     elements=_FLOATS))
+    def test_latent_precision_finiteness(self, ez):
+        """The block refuses the latent precision I + Ez^T Vinv Ez as
+        non-finite exactly when the reduction form finds a non-finite entry."""
+        m, r = ez.shape
+        factor = JointFactor(np.zeros(2), np.zeros(m), np.zeros((2, r)), ez)
+        with np.errstate(all="ignore"):
+            lam = (ez.T * np.ones(m)) @ ez
+            lam.reshape(-1)[:: r + 1] += 1.0
+            got = _verdict(_latent_block, factor, np.zeros(m), np.ones(m))
+        refused = ("raised", FilterNumericsError,
+                   "non-finite latent precision I + Ez^T Vinv Ez")
+        assert (got == refused) == (not _all_finite_reference(lam))
+
+
 # --- einsum and the wrapped residual ------------------------------------------
 
 
@@ -199,6 +308,12 @@ def test_einsum_helper_equals_np_einsum(pair):
 @pytest.mark.skipif(not NUMPY_2, reason="numpy 1.x binds the helper to np.einsum")
 def test_einsum_helper_is_the_c_function():
     assert model._einsum is importlib.import_module("numpy._core.multiarray").c_einsum
+
+
+@pytest.mark.skipif(not NUMPY_2, reason="numpy 1.x binds the helper to np.count_nonzero")
+def test_count_nonzero_helper_is_the_c_function():
+    assert model._count_nonzero is importlib.import_module("numpy._core.multiarray").count_nonzero
+    assert model._count_nonzero is not np.count_nonzero
 
 
 @given(

@@ -152,13 +152,15 @@ def test_public_call_fallback_gives_identical_outputs(monkeypatch):
     """With every private-numpy helper bound to its public call, as on numpy
     1.x, a run gives the same bytes: on the first tracking world, whose msor
     takes the bearing sweep, and on the last room, whose msor takes the
-    latent block; each calls the einsum helper."""
+    latent block; each calls the einsum and count helpers."""
     worlds = [reference_worlds()[index] for index in (0, -1)]
     routed = [_outputs(world) for world in worlds]
     _bind_everywhere(monkeypatch, "_cholesky", np.linalg.cholesky)
     _bind_everywhere(monkeypatch, "_solve", np.linalg.solve)
     _bind_everywhere(monkeypatch, "_einsum", np.einsum)
+    _bind_everywhere(monkeypatch, "_count_nonzero", np.count_nonzero)
     assert gaussian._solve is np.linalg.solve and gaussian._einsum is np.einsum
+    assert gaussian._count_nonzero is np.count_nonzero
     for world, want_outputs in zip(worlds, routed):
         fallback = _outputs(world)
         for name in FILTER_NAMES:

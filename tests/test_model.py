@@ -132,7 +132,7 @@ class TestMeasurement:
         with pytest.raises(ValueError, match="time_index"):
             Measurement(0, [1.0])
 
-    @pytest.mark.parametrize("index", [math.inf, -math.inf, math.nan, 2.5])
+    @pytest.mark.parametrize("index", [math.inf, -math.inf, math.nan, 2.5, None, 1 + 2j])
     def test_rejects_time_index_that_is_no_integer(self, index):
         with pytest.raises(ValueError, match="time_index must be an integer >= 1"):
             Measurement(index, [1.0])

@@ -60,7 +60,7 @@ class TestStepRecord:
         with pytest.raises(ValueError, match=">= 0"):
             StepRecord(1, (0.0, 0.0), (-0.5, None))
 
-    @pytest.mark.parametrize("reading", [math.nan, math.inf, np.float64(-math.inf)])
+    @pytest.mark.parametrize("reading", [math.nan, math.inf, np.float64(-math.inf), "x"])
     def test_rejects_non_finite_range(self, reading):
         with pytest.raises(ValueError, match="step 7: ranges must be finite"):
             StepRecord(7, (0.0, 0.0), (1.0, reading))

@@ -399,6 +399,19 @@ class TestSorStep:
         assert np.array_equal(result.indicators.omega, forced)
 
     @pytest.mark.parametrize("variant", ["parallel", "serial"])
+    def test_forced_indicators_without_a_measurement_dimension(self, variant):
+        """At m = 0 an empty forced vector passes the [0, 1] check, as an empty
+        precision vector passes its own, and the step equals the unforced one."""
+        model = _linear_model(np.zeros((0, 2)), np.ones(0))
+        prediction = GaussianBelief(np.zeros(2), np.eye(2))
+        args = (model, prediction, np.zeros(0), IndicatorConfig(), UTParams(), variant)
+        forced = sor_step(*args, force_indicators=np.ones(0))
+        plain = sor_step(*args)
+        assert forced.indicators.omega.shape == (0,)
+        assert np.array_equal(forced.posterior.mean, plain.posterior.mean)
+        assert np.array_equal(forced.posterior.cov, plain.posterior.cov)
+
+    @pytest.mark.parametrize("variant", ["parallel", "serial"])
     def test_forced_indicators_are_copied_and_read_only(self, variant):
         rng = np.random.default_rng(26)
         model = _linear_model(rng.standard_normal((3, 2)), np.ones(3))
