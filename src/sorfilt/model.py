@@ -1,6 +1,7 @@
 """Shared state-space model types, beliefs, covariance hygiene helpers, and
-the Cholesky factorization, linear solve and einsum that every filter step
-calls."""
+the Cholesky factorization, linear solve, einsum and count that every filter
+step calls.  The factorization and the solve call scipy's LAPACK wrappers,
+as the latent block of gaussian.py does."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.lapack import dgesv, dpotrf
 
 Vector = np.ndarray
 Matrix = np.ndarray
@@ -41,45 +43,36 @@ def _is_symmetric(mat: Matrix, rtol: float = SYMMETRY_RTOL) -> bool:
     return bool(skew <= rtol * max(1.0, np.abs(mat).max(initial=0.0)))
 
 
-try:  # numpy >= 2: the C entry points of np.einsum, np.count_nonzero and np.linalg,
-    # and linalg's error callbacks
-    from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
+try:  # numpy >= 2: the C entry points of np.einsum and np.count_nonzero
     # what np.einsum calls when it does not optimize, so the results are np.einsum's
     from numpy._core.multiarray import c_einsum as _einsum
     # what np.count_nonzero calls for a whole array, without its Python dispatcher
     from numpy._core.multiarray import count_nonzero as _count_nonzero
-    from numpy.linalg import _umath_linalg
-    from numpy.linalg._linalg import (
-        _raise_linalgerror_nonposdef,
-        _raise_linalgerror_singular,
-    )
 except ImportError:  # the names are private numpy API: fall back to the public calls
-    _cholesky, _solve = np.linalg.cholesky, np.linalg.solve
     _einsum = np.einsum
     _count_nonzero = np.count_nonzero
-else:
-    # the error states that np.linalg.cholesky and solve build on every call, built once
-    _IGNORED = {"over": "ignore", "divide": "ignore", "under": "ignore"}
-    _CHOLESKY_ERRSTATE = _make_extobj(call=_raise_linalgerror_nonposdef, invalid="call", **_IGNORED)
-    _SOLVE_ERRSTATE = _make_extobj(call=_raise_linalgerror_singular, invalid="call", **_IGNORED)
 
-    def _cholesky(a: Matrix) -> Matrix:
-        """np.linalg.cholesky(a) for a float (n, n) array, bit for bit and with
-        the same LinAlgError, without the wrapper's conversions."""
-        token = _extobj_contextvar.set(_CHOLESKY_ERRSTATE)
-        try:
-            return _umath_linalg.cholesky_lo(a, signature="d->d")
-        finally:
-            _extobj_contextvar.reset(token)
 
-    def _solve(a: Matrix, b: Matrix) -> Matrix:
-        """np.linalg.solve(a, b) for float arrays a (m, m) and b (m, k), bit for
-        bit and with the same LinAlgError, without the wrapper's conversions."""
-        token = _extobj_contextvar.set(_SOLVE_ERRSTATE)
-        try:
-            return _umath_linalg.solve(a, b, signature="dd->d")
-        finally:
-            _extobj_contextvar.reset(token)
+def _cholesky(a: Matrix) -> Matrix:
+    """Lower Cholesky factor of a float (n, n) array, C-ordered with a zero
+    upper triangle as np.linalg.cholesky returns it; only the lower triangle
+    of a is read.  LAPACK's failure raises numpy's LinAlgError."""
+    # (a, lower, clean): clean zeroes the upper triangle
+    chol, info = dpotrf(a, 1, 1)
+    if info != 0:
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    return np.ascontiguousarray(chol)
+
+
+def _solve(a: Matrix, b: Matrix) -> Matrix:
+    """a^-1 b for float arrays a (m, m) and b (m, k) by LU with partial
+    pivoting; a singular a raises numpy's LinAlgError."""
+    if not b.size:  # dgesv refuses an empty system (m = 0)
+        return np.empty(b.shape)
+    _, _, x, info = dgesv(a, b)
+    if info != 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return x
 
 
 def _jitter_for(mat: Matrix) -> float:

@@ -1,13 +1,12 @@
 """model._cholesky and model._solve, the filter's small-matrix LAPACK calls.
 
-On numpy >= 2 they call the gufuncs that np.linalg.cholesky and solve wrap,
-under the same error state, so they must agree with the public calls bit
-for bit and raise the same LinAlgError.  Without numpy's private names
-they are the public calls themselves.
+They are scipy's dpotrf and dgesv with an info check, so they must give the
+bytes of a direct call and raise numpy's LinAlgError exactly when LAPACK
+reports a failure.  On well-conditioned input they agree with np.linalg to
+rounding.
 """
 
 import sys
-import types
 import warnings
 
 import numpy as np
@@ -15,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from reference_outputs import reference_worlds
+from scipy.linalg import lapack
 
 from sorfilt import FILTER_NAMES, FilterNumericsError, gaussian, model, run_filter
 from sorfilt.gaussian import PredictedMeasurement
@@ -39,53 +39,66 @@ def _outcome(fn, *args):
     return result
 
 
-def _assert_same(helper, public, *args):
-    assert _outcome(helper, *args) == _outcome(public, *args)
+def _lapack_outcome(result, info, message):
+    """The outcome a direct LAPACK call stands for: its result when info is
+    0, else numpy's LinAlgError with numpy's message."""
+    if info != 0:
+        return ("raised", np.linalg.LinAlgError, message)
+    return ("ok", result.dtype, result.shape, result.tobytes())
+
+
+def _assert_cholesky_is_dpotrf(a):
+    chol, info = lapack.dpotrf(a, 1, 1)
+    want = _lapack_outcome(chol, info, "Matrix is not positive definite")
+    assert _outcome(model._cholesky, a) == want
+
+
+def _assert_solve_is_dgesv(a, b):
+    _, _, x, info = lapack.dgesv(a, b)
+    assert _outcome(model._solve, a, b) == _lapack_outcome(x, info, "Singular matrix")
 
 
 @st.composite
-def _square_factors(draw):
+def _square_factors(draw, elements=_ENTRIES):
     n = draw(st.integers(1, 8))
-    return draw(arrays(np.float64, (n, n), elements=_ENTRIES))
+    return draw(arrays(np.float64, (n, n), elements=elements))
 
 
 @st.composite
-def _systems(draw):
-    a = draw(_square_factors())
+def _systems(draw, elements=_ENTRIES):
+    a = draw(_square_factors(elements))
     k = draw(st.integers(1, 6))
-    b = draw(arrays(np.float64, (a.shape[0], k), elements=_ENTRIES))
+    b = draw(arrays(np.float64, (a.shape[0], k), elements=elements))
     return a, b
 
 
-class TestHelpersEqualThePublicCalls:
+class TestHelpersEqualScipyLapack:
     @given(_square_factors())
     def test_cholesky_of_spd(self, base):
-        spd = base @ base.T + np.eye(len(base))
-        _assert_same(model._cholesky, np.linalg.cholesky, spd)
+        _assert_cholesky_is_dpotrf(base @ base.T + np.eye(len(base)))
 
     @given(_square_factors(), st.floats(0.0, 1e-12))
     def test_cholesky_of_near_singular(self, base, shift):
         # rank deficient by one, so a tiny or zero shift leaves the matrix at
-        # the edge of positive definiteness: both sides factor or both raise
+        # the edge of positive definiteness, where LAPACK may factor or fail
         base[:, 0] = 0.0
-        mat = base @ base.T + shift * np.eye(len(base))
-        _assert_same(model._cholesky, np.linalg.cholesky, mat)
+        _assert_cholesky_is_dpotrf(base @ base.T + shift * np.eye(len(base)))
 
     @given(_square_factors())
     def test_cholesky_of_any_symmetric_matrix(self, base):
-        _assert_same(model._cholesky, np.linalg.cholesky, base + base.T)
+        _assert_cholesky_is_dpotrf(base + base.T)
 
     @given(_systems())
     def test_solve(self, system):
         a, b = system
-        _assert_same(model._solve, np.linalg.solve, a @ a.T + np.eye(len(a)), b)
-        _assert_same(model._solve, np.linalg.solve, a, b)
+        _assert_solve_is_dgesv(a @ a.T + np.eye(len(a)), b)
+        _assert_solve_is_dgesv(a, b)
 
     @given(_systems())
     def test_solve_of_near_singular(self, system):
         a, b = system
         a[:, 0] = a[:, -1]  # rank deficient for n > 1; a multiple of itself for n = 1
-        _assert_same(model._solve, np.linalg.solve, a, b)
+        _assert_solve_is_dgesv(a, b)
 
     @given(_systems(), st.data())
     def test_non_finite_entries(self, system, data):
@@ -95,22 +108,38 @@ class TestHelpersEqualThePublicCalls:
         spd = a @ a.T + np.eye(n)
         for mat in (a, spd.copy()):
             mat[i, j] = mat[j, i] = data.draw(_SPECIAL)
-            _assert_same(model._cholesky, np.linalg.cholesky, mat)
-            _assert_same(model._solve, np.linalg.solve, mat, b)
+            _assert_cholesky_is_dpotrf(mat)
+            _assert_solve_is_dgesv(mat, b)
         b[data.draw(st.integers(0, n - 1)), 0] = data.draw(_SPECIAL)
-        _assert_same(model._solve, np.linalg.solve, spd, b)
+        _assert_solve_is_dgesv(spd, b)
 
-    def test_non_spd_raises_the_same_error(self):
+    def test_non_spd_raises_numpys_error(self):
         mat = np.array([[1.0, 2.0], [2.0, 1.0]])
         outcome = _outcome(model._cholesky, mat)
         assert outcome == ("raised", np.linalg.LinAlgError, "Matrix is not positive definite")
         assert outcome == _outcome(np.linalg.cholesky, mat)
 
-    def test_singular_system_raises_the_same_error(self):
+    def test_singular_system_raises_numpys_error(self):
         a, b = np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones((2, 3))
         outcome = _outcome(model._solve, a, b)
         assert outcome == ("raised", np.linalg.LinAlgError, "Singular matrix")
         assert outcome == _outcome(np.linalg.solve, a, b)
+
+    @given(_systems(st.floats(-1.0, 1.0)))
+    def test_well_conditioned_spd_agrees_with_np_linalg(self, system):
+        a, b = system
+        n = len(a)
+        spd = a @ a.T / n + np.eye(n)  # eigenvalues in [1, 1 + n]
+        chol = model._cholesky(spd)
+        # the layout np.linalg.cholesky returns, so products take its BLAS paths
+        assert chol.flags.c_contiguous and not np.triu(chol, 1).any()
+        pairs = (
+            (chol, np.linalg.cholesky(spd)),
+            (model._solve(spd, b), np.linalg.solve(spd, b)),
+        )
+        for got, want in pairs:
+            # entries that cancel to near zero are compared on the result's scale
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 class TestCallSites:
@@ -126,7 +155,7 @@ class TestCallSites:
         repaired, root = model._spd_factor(mat, "cov")
         assert len(calls) == 2
         assert np.array_equal(repaired, calls[1])
-        assert root.tobytes() == np.linalg.cholesky(repaired).tobytes()
+        assert root.tobytes() == lapack.dpotrf(repaired, 1, 1)[0].tobytes()
 
     def test_singular_innovation_system_is_a_numerics_error(self):
         belief = model.GaussianBelief(np.zeros(2), np.eye(2))
@@ -149,18 +178,15 @@ def _outputs(world):
 
 
 def test_public_call_fallback_gives_identical_outputs(monkeypatch):
-    """With every private-numpy helper bound to its public call, as on numpy
+    """With each private-numpy helper bound to its public call, as on numpy
     1.x, a run gives the same bytes: on the first tracking world, whose msor
     takes the bearing sweep, and on the last room, whose msor takes the
     latent block; each calls the einsum and count helpers."""
     worlds = [reference_worlds()[index] for index in (0, -1)]
     routed = [_outputs(world) for world in worlds]
-    _bind_everywhere(monkeypatch, "_cholesky", np.linalg.cholesky)
-    _bind_everywhere(monkeypatch, "_solve", np.linalg.solve)
     _bind_everywhere(monkeypatch, "_einsum", np.einsum)
     _bind_everywhere(monkeypatch, "_count_nonzero", np.count_nonzero)
-    assert gaussian._solve is np.linalg.solve and gaussian._einsum is np.einsum
-    assert gaussian._count_nonzero is np.count_nonzero
+    assert gaussian._einsum is np.einsum and gaussian._count_nonzero is np.count_nonzero
     for world, want_outputs in zip(worlds, routed):
         fallback = _outputs(world)
         for name in FILTER_NAMES:
@@ -168,26 +194,25 @@ def test_public_call_fallback_gives_identical_outputs(monkeypatch):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
-@pytest.mark.skipif(
-    np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="the gufunc route needs numpy >= 2"
-)
-def test_numpy_2_takes_the_gufunc_route(monkeypatch):
-    assert model._cholesky is not np.linalg.cholesky and model._solve is not np.linalg.solve
+def test_helpers_call_scipy_lapack_and_never_np_linalg(monkeypatch):
+    """The helpers, and a whole sor run through them, call scipy's dpotrf
+    and dgesv and never np.linalg.cholesky or solve."""
     calls = []
 
-    def counted(gufunc):
-        return lambda *args, **kwargs: calls.append(gufunc.__name__) or gufunc(*args, **kwargs)
+    def counted(name):
+        routine = getattr(lapack, name)
+        return lambda *args: calls.append(name) or routine(*args)
 
-    gufuncs = model._umath_linalg
-    spy = types.SimpleNamespace(
-        cholesky_lo=counted(gufuncs.cholesky_lo), solve=counted(gufuncs.solve)
-    )
-    monkeypatch.setattr(model, "_umath_linalg", spy)
+    for name in ("dpotrf", "dgesv"):
+        monkeypatch.setattr(model, name, counted(name))
     for public in ("cholesky", "solve"):
         monkeypatch.setattr(np.linalg, public, pytest.fail)
     model._cholesky(np.eye(3))
     model._solve(np.eye(3), np.ones((3, 2)))
-    assert calls == ["cholesky_lo", "solve"]
+    assert calls == ["dpotrf", "dgesv"]
+    _, (ssm, init, measurements), cfg, params = reference_worlds()[0]
+    run_filter("sor", ssm, init, measurements, cfg, params)
+    assert {"dpotrf", "dgesv"} == set(calls)
 
 
 def test_helper_calls_per_step_on_the_reference_worlds(monkeypatch):

@@ -24,6 +24,7 @@ from sorfilt import (
     uwb_measurement_model,
 )
 from sorfilt.gaussian import _check_vinv, _update_parallel
+from sorfilt.model import _solve
 from sorfilt.tracking import TurnModelConfig, clean_measurement
 from sorfilt.unscented import draw_sigma_points, eval_sigma_points, moments_from_values
 
@@ -37,7 +38,7 @@ def _eye_update(belief, predmeas, resid, vinv):
     """The parallel update with I + U diag(vinv) formed through np.eye."""
     cd = predmeas.C * vinv
     s = np.eye(predmeas.meas_dim) + predmeas.U * vinv
-    gain = np.linalg.solve(s.T, cd.T).T
+    gain = _solve(s.T, cd.T).T
     mean = belief.mean + gain @ resid
     cov = belief.cov - predmeas.C @ gain.T
     return GaussianBelief._from_filter(mean, cov, "updated cov")
