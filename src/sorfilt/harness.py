@@ -96,7 +96,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for name, low in (("runs", 1), ("steps", 1), ("num_pairs", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            # bool is an Integral, but True is no count
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}")
@@ -170,8 +171,8 @@ class ScenarioConfig:
 def rmse_pos(estimates, truths) -> tuple[np.ndarray, float]:
     """Per-step RMSE over runs plus its mean over steps.
 
-    Accepts (runs, K, 2) stacks or single (K, 2) series; per-step value is
-    sqrt(mean over runs of squared position error).
+    Accepts (runs, K, 2) stacks or single (K, 2) series with K >= 1; the
+    per-step value is sqrt(mean over runs of squared position error).
     """
     est = np.asarray(estimates, dtype=float)
     tru = np.asarray(truths, dtype=float)
@@ -181,17 +182,22 @@ def rmse_pos(estimates, truths) -> tuple[np.ndarray, float]:
         tru = tru[None]
     if est.shape != tru.shape:
         raise ValueError(f"shape mismatch: estimates {est.shape} vs truths {tru.shape}")
+    if est.shape[-2:-1] == (0,):  # a mean over no steps is NaN
+        raise ValueError(f"estimates of shape {est.shape} hold no steps")
     sq = np.sum((est - tru) ** 2, axis=-1)
     per_step = np.sqrt(np.mean(sq, axis=0))
     return per_step, float(per_step.mean())
 
 
 def rmse_pos_per_run(estimates, truths) -> np.ndarray:
-    """Aggregate RMSE of each run: sqrt(mean over steps of squared error)."""
+    """Aggregate RMSE of each run: sqrt(mean over steps of squared error),
+    for K >= 1 steps."""
     est = np.asarray(estimates, dtype=float)
     tru = np.asarray(truths, dtype=float)
     if est.shape != tru.shape:
         raise ValueError(f"shape mismatch: estimates {est.shape} vs truths {tru.shape}")
+    if est.shape[-2:-1] == (0,):  # a mean over no steps is NaN
+        raise ValueError(f"estimates of shape {est.shape} hold no steps")
     sq = np.sum((est - tru) ** 2, axis=-1)
     return np.sqrt(np.mean(sq, axis=-1))
 

@@ -182,7 +182,11 @@ class CorruptionConfig:
             raise ValueError("nominal noise sigmas must be finite and > 0")
         law = self.gamma_law
         if isinstance(law, (tuple, list)):
-            low, high = float(law[0]), float(law[1])
+            if len(law) != 2:
+                raise ValueError(
+                    f"gamma_law must be a value or a (low, high) pair, not {len(law)} values"
+                )
+            low, high = map(float, law)
             if not 1.0 <= low <= high < math.inf:
                 raise ValueError("gamma interval must satisfy 1 <= low <= high < inf")
             object.__setattr__(self, "gamma_law", (low, high))

@@ -147,7 +147,8 @@ def eval_sigma_points(
     fn: Callable[[np.ndarray], np.ndarray],
     vectorized: bool = False,
 ) -> np.ndarray:
-    """Evaluate fn on every sigma point, returning a (2n+1, d) array."""
+    """Evaluate fn on every sigma point, returning a (2n+1, d) array; an
+    image must be a scalar or a vector."""
     if vectorized:
         out = np.asarray(fn(sigma.points), dtype=float)
         if out.ndim < 2:
@@ -156,6 +157,8 @@ def eval_sigma_points(
         out = np.array([fn(p) for p in sigma.points], dtype=float)
         if out.ndim < 2:  # scalar images: one column
             out = out.reshape(-1, 1)
+    if out.ndim > 2:  # images with more than one axis
+        raise ValueError(f"map output of shape {out.shape} has more than 2 axes")
     if out.shape[0] != sigma.points.shape[0]:
         raise ValueError("map output count does not match sigma point count")
     finite = np.isfinite(out)

@@ -67,7 +67,12 @@ class IndicatorConfig:
         object.__setattr__(self, "theta_prior", tuple(prior) if theta.ndim else prior)
         if not self.tau > 0.0:
             raise ValueError("tau must be > 0")
-        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+        max_iters = self.max_iters
+        if (
+            isinstance(max_iters, bool)  # an Integral, but True is no count
+            or not isinstance(max_iters, numbers.Integral)
+            or max_iters < 1
+        ):
             raise ValueError("max_iters must be an integer >= 1")
         # m -> (thetas(m), omega's prior log-odds); not a field, so equality,
         # hashing and repr ignore it

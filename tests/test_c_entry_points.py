@@ -145,6 +145,8 @@ def _measurement_values_reference(y, m):
 def _eval_reference(sigma, fn):
     """eval_sigma_points(sigma, fn, vectorized=True) with np.atleast_2d."""
     out = np.atleast_2d(np.asarray(fn(sigma.points), dtype=float))
+    if out.ndim > 2:
+        raise ValueError(f"map output of shape {out.shape} has more than 2 axes")
     if out.shape[0] != sigma.points.shape[0]:
         raise ValueError("map output count does not match sigma point count")
     if not np.isfinite(out).all():

@@ -69,6 +69,13 @@ class TestRmsePos:
         with pytest.raises(ValueError, match="shape mismatch"):
             rmse_pos_per_run(np.zeros((2, 3, 2)), np.zeros((2, 4, 2)))
 
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0, 2)])
+    @pytest.mark.parametrize("score", [rmse_pos, rmse_pos_per_run])
+    def test_zero_steps_rejected(self, score, shape):
+        # a mean over no steps would be NaN, with numpy's empty-slice warning
+        with pytest.raises(ValueError, match=r"estimates of shape .* hold no steps"):
+            score(np.zeros(shape), np.zeros(shape))
+
 
 class TestRunRng:
     def test_reproducible(self):
@@ -135,6 +142,12 @@ class TestScenarioConfig:
             ({"sweep_axis": "gamma", "sweep_values": (0.5,)}, "gamma must"),
             ({"steps": 2.5}, "steps must be an integer"),
             ({"runs": 1.5}, "runs must be an integer"),
+            # bool is an Integral, but True is no count
+            ({"steps": True}, "steps must be an integer"),
+            ({"runs": True}, "runs must be an integer"),
+            ({"num_pairs": True}, "num_pairs must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"gamma_law": [100.0, 1000.0, 5000.0]}, "gamma_law must be"),
             ({"seed": -1}, "seed must be >= 0"),
             # the indicator, UT, turn-model and corruption configs it builds
             ({"epsilon": 2.0}, "epsilon"),
@@ -585,6 +598,8 @@ class TestCli:
             ("uwb", {"tau": -1.0}, "tau"),
             ("simulate", {"dt": float("nan")}, "dt"),
             ("simulate", {"gamma_law": float("inf")}, "gamma"),
+            ("simulate", {"gamma_law": [100, 1000, 5000]}, "gamma_law must be"),
+            ("simulate", {"runs": True}, "runs must be an integer"),
             ("uwb", {"tag_z": float("nan")}, "tag_z"),
             ("simulate", {"sweep_values": [0.1, 0.5]}, "sweep_values need a sweep_axis"),
             (

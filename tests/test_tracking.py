@@ -346,6 +346,11 @@ class TestCorrupt:
         with pytest.raises(ValueError):
             CorruptionConfig(gamma_law=(200.0, 100.0))
 
+    @pytest.mark.parametrize("law", [(1.0,), (1.0, 2.0, 3.0), [100.0, 1000.0, 5000.0], ()])
+    def test_gamma_law_of_another_length_is_refused(self, law):
+        with pytest.raises(ValueError, match=f"gamma_law must .* not {len(law)} values"):
+            CorruptionConfig(gamma_law=law)
+
     def test_sample_gamma_laws(self):
         rng = np.random.default_rng(9)
         fixed = CorruptionConfig(gamma_law=250.0)

@@ -312,6 +312,20 @@ class TestEvalSigmaPoints:
         with pytest.raises(ValueError):
             eval_sigma_points(sigma, lambda x: np.ones(1 + int(x[0] > 0.5)))
 
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_images_with_more_than_one_axis_are_refused(self, vectorized):
+        # a NaN at [1, 0, 1] once made the message name sigma point 3 of 3
+        sigma = draw_sigma_points(GaussianBelief([0.0], [[1.0]]), UTParams())
+        clean, with_nan = np.ones((3, 2, 2)), np.ones((3, 2, 2))
+        with_nan[1, 0, 1] = np.nan  # the points are 0, +s and -s
+        for images in (clean, with_nan):
+
+            def fn(x):
+                return images if vectorized else images[int(np.sign(x[0]))]
+
+            with pytest.raises(ValueError, match=r"map output of shape \(3, 2, 2\) has more"):
+                eval_sigma_points(sigma, fn, vectorized)
+
 
 def _meas_model(n, m, fn):
     """A model whose measurement map is fn; its process map is never used."""

@@ -180,7 +180,7 @@ class TestIndicatorTypes:
         with pytest.raises(ValueError, match="tau"):
             IndicatorConfig(tau=np.nan)
 
-    @pytest.mark.parametrize("bad", [2.5, 3.0, np.nan])
+    @pytest.mark.parametrize("bad", [2.5, 3.0, np.nan, True])
     def test_config_rejects_non_integer_max_iters(self, bad):
         with pytest.raises(ValueError, match="max_iters"):
             IndicatorConfig(max_iters=bad)
