@@ -142,12 +142,6 @@ class TestScenarioConfig:
             ({"sweep_axis": "gamma", "sweep_values": (0.5,)}, "gamma must"),
             ({"steps": 2.5}, "steps must be an integer"),
             ({"runs": 1.5}, "runs must be an integer"),
-            # bool is an Integral, but True is no count
-            ({"steps": True}, "steps must be an integer"),
-            ({"runs": True}, "runs must be an integer"),
-            ({"num_pairs": True}, "num_pairs must be an integer"),
-            ({"seed": True}, "seed must be an integer"),
-            ({"gamma_law": [100.0, 1000.0, 5000.0]}, "gamma_law must be"),
             ({"seed": -1}, "seed must be >= 0"),
             # the indicator, UT, turn-model and corruption configs it builds
             ({"epsilon": 2.0}, "epsilon"),
@@ -177,6 +171,12 @@ class TestScenarioConfig:
             ),
             # a second run of a filter would overwrite the first one's timing
             ({"filters": ("sor", "ukf", "sor")}, "filters lists 'sor' more than once"),
+            # bool is an Integral, but True is no count
+            ({"steps": True}, "steps must be an integer"),
+            ({"runs": True}, "runs must be an integer"),
+            ({"num_pairs": True}, "num_pairs must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"gamma_law": [100.0, 1000.0, 5000.0]}, "gamma_law must be"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -598,8 +598,6 @@ class TestCli:
             ("uwb", {"tau": -1.0}, "tau"),
             ("simulate", {"dt": float("nan")}, "dt"),
             ("simulate", {"gamma_law": float("inf")}, "gamma"),
-            ("simulate", {"gamma_law": [100, 1000, 5000]}, "gamma_law must be"),
-            ("simulate", {"runs": True}, "runs must be an integer"),
             ("uwb", {"tag_z": float("nan")}, "tag_z"),
             ("simulate", {"sweep_values": [0.1, 0.5]}, "sweep_values need a sweep_axis"),
             (
@@ -607,6 +605,8 @@ class TestCli:
                 {"mode": "missing", "sweep_axis": "gamma", "sweep_values": [10.0, 100.0]},
                 "sweep_axis gamma has no effect in mode missing",
             ),
+            ("simulate", {"gamma_law": [100, 1000, 5000]}, "gamma_law must be"),
+            ("simulate", {"runs": True}, "runs must be an integer"),
         ],
     )
     def test_bad_config_value_exits_two(self, tmp_path, capsys, command, config, match):
