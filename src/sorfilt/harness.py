@@ -42,7 +42,8 @@ from .vb import FILTER_NAMES, IndicatorConfig, run_filter
 SWEEP_AXES = {"lam": "lam", "gamma": "gamma_law"}
 
 # each part a ScenarioConfig builds, by the attribute that holds it; a part
-# takes every value from the ScenarioConfig field of the same name
+# takes every value from the ScenarioConfig field of the same name, and that
+# field then holds the part's normalized value
 _PARTS = {
     "indicator": IndicatorConfig,
     "ut": UTParams,
@@ -66,28 +67,29 @@ class ScenarioConfig:
     seed: int = 0
     out: str = "out"
     # corruption
-    mode: str = "outliers"
+    mode: str = CorruptionConfig.mode
+    # the paper's outlier world; CorruptionConfig's own default is clean
     lam: float = 0.3
     gamma_law: float | tuple[float, float] = (100.0, 1000.0)
-    sigma_theta: float = 3.5e-3
-    sigma_rho: float = 10.0
+    sigma_theta: float = CorruptionConfig.sigma_theta
+    sigma_rho: float = CorruptionConfig.sigma_rho
     # world
     num_pairs: int = 3
-    dt: float = 1.0
-    eta1: float = 0.1
-    eta2: float = 1.75e-4
+    dt: float = TurnModelConfig.dt
+    eta1: float = TurnModelConfig.eta1
+    eta2: float = TurnModelConfig.eta2
     # sweep
     sweep_axis: str | None = None
     sweep_values: tuple = ()
     # indicator model
-    epsilon: float = 1e-6
-    theta_prior: float = 0.5
-    tau: float = 1e-4
-    max_iters: int = 50
+    epsilon: float = IndicatorConfig.epsilon
+    theta_prior: float | tuple[float, ...] = IndicatorConfig.theta_prior
+    tau: float = IndicatorConfig.tau
+    max_iters: int = IndicatorConfig.max_iters
     # unscented transform
-    alpha: float = 1.0
-    beta: float = 2.0
-    kappa: float = 0.0
+    alpha: float = UTParams.alpha
+    beta: float = UTParams.beta
+    kappa: float = UTParams.kappa
     # uwb
     dataset: str | None = None
     variant: str = "msor"
@@ -126,12 +128,13 @@ class ScenarioConfig:
         elif tuple(self.sweep_values):
             raise ValueError("sweep_values need a sweep_axis")
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
-        if isinstance(self.gamma_law, list):
-            object.__setattr__(self, "gamma_law", tuple(self.gamma_law))
         # not fields, so equality, repr and read_yaml ignore them
         for attr, part in _PARTS.items():
-            values = {f.name: getattr(self, f.name) for f in dataclasses.fields(part)}
-            object.__setattr__(self, attr, part(**values))
+            names = [f.name for f in dataclasses.fields(part)]
+            built = part(**{name: getattr(self, name) for name in names})
+            object.__setattr__(self, attr, built)
+            for name in names:  # the part's normalized value, e.g. a tuple for a list
+                object.__setattr__(self, name, getattr(built, name))
         self.points()  # a bad sweep value fails here, not in each of its runs
 
     @classmethod
@@ -151,10 +154,6 @@ class ScenarioConfig:
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
         return raw
-
-    @classmethod
-    def from_yaml(cls, path) -> "ScenarioConfig":
-        return cls(**cls.read_yaml(path))
 
     def points(self) -> list[tuple]:
         """(value, config) per sweep point: a config without a sweep whose axis
@@ -405,7 +404,7 @@ def bench_runtime(
     steps: int = 100,
     seed: int = 0,
     lam: float = 0.9,
-    gamma_law=(100.0, 1000.0),
+    gamma_law=ScenarioConfig.gamma_law,
     filters=("sor", "msor"),
     out=None,
 ) -> BenchReport:

@@ -277,8 +277,8 @@ def simulate_trajectory(
 def make_tracking_model(
     field: SensorField,
     turn_cfg: TurnModelConfig | None = None,
-    sigma_theta: float = 3.5e-3,
-    sigma_rho: float = 10.0,
+    sigma_theta: float = CorruptionConfig.sigma_theta,
+    sigma_rho: float = CorruptionConfig.sigma_rho,
 ) -> NonlinearSSM:
     """Filter-side model for the tracking world: coordinated-turn dynamics,
     bearing/range measurements, bearings flagged as angular."""

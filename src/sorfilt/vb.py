@@ -74,19 +74,14 @@ class IndicatorConfig:
             or max_iters < 1
         ):
             raise ValueError("max_iters must be an integer >= 1")
-        # m -> (thetas(m), omega's prior log-odds); not a field, so equality,
-        # hashing and repr ignore it
+        # m -> omega's prior log-odds; not a field, so equality, hashing and
+        # repr ignore it
         object.__setattr__(self, "_per_m", {})
 
-    def thetas(self, m: int) -> np.ndarray:
-        """The read-only prior vector for m dimensions, built on the first call
-        per m.  A length mismatch is never kept, so it raises on every call."""
-        return self._prior(m)[0]
-
-    def _prior(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """thetas(m) and omega's prior log-odds for m dimensions, both
-        read-only and built together on the first call per m; 2 R comes from
-        the model."""
+    def _prior(self, m: int) -> np.ndarray:
+        """omega's read-only prior log-odds for m dimensions, built on the
+        first call per m; 2 R comes from the model.  A theta_prior length
+        mismatch is never kept, so it raises on every call."""
         cached = self._per_m.get(m)
         if cached is None:
             theta = np.atleast_1d(np.asarray(self.theta_prior, dtype=float))
@@ -94,9 +89,8 @@ class IndicatorConfig:
                 theta = np.full(m, theta[0])
             elif theta.size != m:
                 raise ValueError(f"theta_prior length {theta.size} does not match m={m}")
-            log_odds = _prior_log_odds(theta, self.epsilon)
-            theta.flags.writeable = log_odds.flags.writeable = False
-            cached = self._per_m[m] = (theta, log_odds)
+            cached = self._per_m[m] = _prior_log_odds(theta, self.epsilon)
+            cached.flags.writeable = False
         return cached
 
 
@@ -153,7 +147,7 @@ def omega_update(W_ii, R_ii, theta, epsilon):
         raise ValueError("R_ii must be > 0")
     if not (th.min(initial=0.5) > 0.0 and th.max(initial=0.5) < 1.0):
         raise ValueError("theta must lie strictly inside (0, 1)")
-    out = _omega_from_prior(w, *_omega_constants(r, th, eps))
+    out = _omega_from_prior(w, _prior_log_odds(th, eps), 1.0 - eps, 2.0 * r)
     return float(out) if out.ndim == 0 else out
 
 
@@ -166,11 +160,6 @@ def _check_w(w: np.ndarray) -> None:
 def _prior_log_odds(th, eps):
     """omega's prior log-odds of an outlier, 0.5 log eps + log1p(-th) - log th."""
     return 0.5 * np.log(eps) + np.log1p(-th) - np.log(th)
-
-
-def _omega_constants(r, th, eps):
-    """omega_update's constants: the prior log-odds, 1 - eps and 2 R."""
-    return _prior_log_odds(th, eps), 1.0 - eps, 2.0 * r
 
 
 def _omega_from_prior(w, prior, keep, two_r):
@@ -296,7 +285,7 @@ def sor_step(
             raise ValueError("force_indicators entries must lie in [0, 1]")
         vinv = omega / r_diag
     else:
-        prior, keep = cfg._prior(m)[1], 1.0 - eps
+        prior, keep = cfg._prior(m), 1.0 - eps
         vinv = rinv  # omega starts at ones
     two_r, angular = model._two_r, model._angular
 

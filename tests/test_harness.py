@@ -198,7 +198,7 @@ class TestScenarioConfig:
                 }
             )
         )
-        cfg = ScenarioConfig.from_yaml(path)
+        cfg = ScenarioConfig(**ScenarioConfig.read_yaml(path))
         assert cfg.steps == 12
         assert cfg.filters == ("ukf", "sor")
         assert cfg.gamma_law == (100.0, 1000.0)
@@ -208,18 +208,18 @@ class TestScenarioConfig:
         path = tmp_path / "scenario.yaml"
         path.write_text("stpes: 10\n")
         with pytest.raises(ValueError, match="unknown config keys.*stpes"):
-            ScenarioConfig.from_yaml(path)
+            ScenarioConfig(**ScenarioConfig.read_yaml(path))
 
     def test_from_yaml_rejects_non_mapping(self, tmp_path):
         path = tmp_path / "scenario.yaml"
         path.write_text("- 1\n- 2\n")
         with pytest.raises(ValueError, match="mapping"):
-            ScenarioConfig.from_yaml(path)
+            ScenarioConfig(**ScenarioConfig.read_yaml(path))
 
     def test_from_yaml_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "scenario.yaml"
         path.write_text("")
-        assert ScenarioConfig.from_yaml(path) == ScenarioConfig()
+        assert ScenarioConfig(**ScenarioConfig.read_yaml(path)) == ScenarioConfig()
 
     def test_helper_objects(self):
         # every part field off its default, so a part that dropped or
@@ -245,6 +245,37 @@ class TestScenarioConfig:
                 assert getattr(part, f.name) != getattr(default, f.name), f.name
         # not fields: equality, repr and the YAML keys ignore them
         assert "indicator" not in {f.name for f in dataclasses.fields(cfg)}
+
+    def test_default_parts_are_the_part_defaults(self):
+        # the defaults live in the part classes; only the outlier world's
+        # lam and gamma_law are the harness's own
+        cfg = ScenarioConfig()
+        assert cfg.indicator == IndicatorConfig()
+        assert cfg.ut == UTParams()
+        assert cfg.turn == TurnModelConfig()
+        clean = CorruptionConfig()
+        differ = {
+            f.name for f in dataclasses.fields(clean)
+            if getattr(cfg.corruption, f.name) != getattr(clean, f.name)
+        }
+        assert differ == {"lam", "gamma_law"}
+
+    def test_vector_theta_compares_and_hashes_by_value(self):
+        prior = [0.2, 0.5, 0.8, 0.5, 0.5, 0.9]
+        configs = [
+            ScenarioConfig(theta_prior=value)
+            for value in (prior, tuple(prior), np.array(prior))
+        ]
+        assert configs[0] == configs[1] == configs[2]
+        assert len({hash(cfg) for cfg in configs}) == 1
+        assert all(cfg.theta_prior == tuple(prior) for cfg in configs)
+        assert configs[0] != ScenarioConfig(theta_prior=prior[:5] + [0.8])
+
+    def test_gamma_law_list_is_held_as_a_float_pair(self):
+        cfg = ScenarioConfig(gamma_law=[100, 1000])
+        assert cfg.gamma_law == (100.0, 1000.0)
+        assert [type(v) for v in cfg.gamma_law] == [float, float]
+        assert hash(cfg) == hash(ScenarioConfig())
 
 
 class TestRunTrackingSingle:

@@ -111,11 +111,21 @@ class TestHoistedArithmetic:
         r=st.floats(1e-6, 1e6),
     )
     def test_omega_from_hoisted_constants_equals_omega_update(self, w, theta, eps, r):
+        # the constants sor_step reads from their owners: the prior log-odds
+        # from the config, 1 - eps, and 2 R from the model
         w = np.array(w)
         r_diag = np.full(w.size, r)
         thetas = np.full(w.size, theta)
-        constants = sorfilt.vb._omega_constants(r_diag, thetas, eps)
-        got = sorfilt.vb._omega_from_prior(w, *constants)
+        cfg = IndicatorConfig(epsilon=eps, theta_prior=theta)
+        model = NonlinearSSM(
+            state_dim=1,
+            meas_dim=w.size,
+            process_fn=lambda x: x,
+            meas_fn=lambda x: np.repeat(x, w.size, axis=-1),
+            process_cov=np.eye(1),
+            meas_var_diag=r_diag,
+        )
+        got = sorfilt.vb._omega_from_prior(w, cfg._prior(w.size), 1.0 - eps, model._two_r)
         assert got.tobytes() == omega_update(w, r_diag, thetas, eps).tobytes()
 
 

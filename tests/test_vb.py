@@ -46,7 +46,7 @@ from sorfilt import (
     update_parallel,
     uwb_measurement_model,
 )
-from sorfilt.vb import _expected_indicator
+from sorfilt.vb import _expected_indicator, _prior_log_odds
 
 
 def _random_spd(rng, n, scale=1.0):
@@ -156,7 +156,7 @@ class TestIndicatorTypes:
         assert cfg.epsilon == 1e-6
         assert cfg.tau == 1e-4
         assert cfg.max_iters == 50
-        assert np.allclose(cfg.thetas(4), 0.5)
+        assert np.allclose(cfg._prior(4), _prior_log_odds(0.5, 1e-6))
 
     def test_config_rejects_epsilon_endpoints(self):
         with pytest.raises(ValueError):
@@ -190,17 +190,18 @@ class TestIndicatorTypes:
 
     def test_config_vector_theta(self):
         cfg = IndicatorConfig(theta_prior=np.array([0.2, 0.8]))
-        assert np.allclose(cfg.thetas(2), [0.2, 0.8])
+        assert np.allclose(cfg._prior(2), _prior_log_odds(np.array([0.2, 0.8]), 1e-6))
         with pytest.raises(ValueError):
-            cfg.thetas(3)
+            cfg._prior(3)
 
     def test_config_thetas_are_built_once_per_m_and_read_only(self):
+        # the loop reads omega's prior log-odds, the one per-m cache
         cfg = IndicatorConfig(theta_prior=0.7)
-        first = cfg.thetas(4)
-        assert cfg.thetas(4) is first
-        assert np.array_equal(first, np.full(4, 0.7))
+        first = cfg._prior(4)
+        assert cfg._prior(4) is first
+        assert np.array_equal(first, _prior_log_odds(np.full(4, 0.7), cfg.epsilon))
         assert not first.flags.writeable
-        assert cfg.thetas(2).shape == (2,)
+        assert cfg._prior(2).shape == (2,)
 
     def test_config_vector_theta_compares_by_value(self):
         a = IndicatorConfig(theta_prior=np.array([0.2, 0.8]))
@@ -211,7 +212,7 @@ class TestIndicatorTypes:
         # a bad length is never cached: every call raises
         for _ in range(2):
             with pytest.raises(ValueError, match="theta_prior length 2 does not match m=3"):
-                a.thetas(3)
+                a._prior(3)
 
     def test_config_rejects_matrix_theta(self):
         with pytest.raises(ValueError, match="theta_prior must be a number or a vector"):
@@ -220,8 +221,10 @@ class TestIndicatorTypes:
     def test_config_vector_theta_is_copied(self):
         prior = np.array([0.2, 0.6, 0.9])
         cfg = IndicatorConfig(theta_prior=prior)
-        thetas = cfg.thetas(3)
-        assert np.array_equal(thetas, prior) and thetas is not prior
+        prior[0] = 0.9  # the config holds its own copy
+        log_odds = cfg._prior(3)
+        assert np.array_equal(log_odds, _prior_log_odds(np.array([0.2, 0.6, 0.9]), 1e-6))
+        assert cfg.theta_prior == (0.2, 0.6, 0.9)
 
     def test_belief_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -877,7 +880,7 @@ def _public_vb_step(model, prediction, y, cfg, params, variant):
         def update(vinv):
             return update_parallel(prediction, predmeas, yv, vinv, mask), None, None
 
-    thetas = cfg.thetas(model.meas_dim)
+    thetas = np.broadcast_to(np.asarray(cfg.theta_prior, dtype=float), model.meas_dim)
     state, mu_pp, udiag_pp = update(np.ones(model.meas_dim) / r_diag)
     iterations, converged = 0, False
     while not converged and iterations < cfg.max_iters:
