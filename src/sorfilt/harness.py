@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .model import GaussianBelief, Measurement, chol_lower
+from .model import GaussianBelief, Measurement, _real, chol_lower
 from .tracking import (
     TRACKING_X0,
     _POSITION,
@@ -115,6 +115,7 @@ class ScenarioConfig:
         object.__setattr__(self, "filters", filters)
         if self.variant not in FILTER_NAMES:
             raise ValueError(f"variant must be one of {FILTER_NAMES}")
+        object.__setattr__(self, "tag_z", _real("tag_z", self.tag_z))
         if not -math.inf < self.tag_z < math.inf:  # a NaN fails this too
             raise ValueError("tag_z must be finite")
         if self.sweep_axis is not None:
@@ -157,13 +158,15 @@ class ScenarioConfig:
 
     def points(self) -> list[tuple]:
         """(value, config) per sweep point: a config without a sweep whose axis
-        field is float(value).  [(None, self)] when there is no sweep."""
+        field is float(value).  [(None, self)] when there is no sweep.  A sweep
+        value that is no real number is a TypeError naming sweep_values."""
         if self.sweep_axis is None:
             return [(None, self)]
         key = SWEEP_AXES[self.sweep_axis]
+        values = [float(_real("sweep_values", v)) for v in self.sweep_values]
         return [
-            (v, dataclasses.replace(self, sweep_axis=None, sweep_values=(), **{key: float(v)}))
-            for v in self.sweep_values
+            (v, dataclasses.replace(self, sweep_axis=None, sweep_values=(), **{key: value}))
+            for v, value in zip(self.sweep_values, values)
         ]
 
 
@@ -183,6 +186,8 @@ def rmse_pos(estimates, truths) -> tuple[np.ndarray, float]:
         raise ValueError(f"shape mismatch: estimates {est.shape} vs truths {tru.shape}")
     if est.shape[-2:-1] == (0,):  # a mean over no steps is NaN
         raise ValueError(f"estimates of shape {est.shape} hold no steps")
+    if est.shape[:1] == (0,):  # and so is a mean over no runs
+        raise ValueError(f"estimates of shape {est.shape} hold no runs")
     sq = np.sum((est - tru) ** 2, axis=-1)
     per_step = np.sqrt(np.mean(sq, axis=0))
     return per_step, float(per_step.mean())

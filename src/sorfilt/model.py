@@ -5,6 +5,7 @@ as the latent block of gaussian.py does."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -112,6 +113,18 @@ def ensure_spd(mat: Matrix, name: str = "cov") -> Matrix:
 def chol_lower(mat: Matrix, name: str = "cov") -> Matrix:
     """Lower Cholesky factor under the same one-shot jitter policy as ensure_spd."""
     return _spd_factor(mat, name)[1]
+
+
+def _real(name: str, value):
+    """A config number: value, or the item of a 0-d array.  A bool or a
+    value of any other type is a TypeError naming the field name; the
+    caller's range check follows."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value.item()
+    # bool is a Real (an Integral), but True is no number of this kind
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, not {type(value).__name__}")
+    return value
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:

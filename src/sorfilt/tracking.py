@@ -8,7 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MISSING_SENTINEL, NonlinearSSM, _count_nonzero, _frozen_array, chol_lower
+from .model import (
+    MISSING_SENTINEL,
+    NonlinearSSM,
+    _count_nonzero,
+    _frozen_array,
+    _real,
+    chol_lower,
+)
 
 # state layout: [a, a_dot, b, b_dot, omega]; _POSITION indexes the position
 # (a, b), as in states[:, _POSITION]
@@ -25,6 +32,8 @@ class TurnModelConfig:
     eta2: float = 1.75e-4
 
     def __post_init__(self) -> None:
+        for name in ("dt", "eta1", "eta2"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         # each check is written so that a NaN fails it
         if not 0.0 < self.dt < math.inf:
             raise ValueError("dt must be finite and > 0")
@@ -163,7 +172,8 @@ class CorruptionConfig:
     mode "outliers": with probability lam the additive noise variance is
     inflated by gamma; otherwise nominal.  mode "missing": with probability
     lam the reading is replaced by MISSING_SENTINEL (0.0), no noise added.
-    gamma_law is either a fixed value >= 1 or a (low, high) uniform interval.
+    gamma_law is either a fixed value >= 1 or a (low, high) uniform interval,
+    given as any 1-d sequence and kept as a tuple of floats.
     """
 
     mode: str = "outliers"
@@ -173,6 +183,8 @@ class CorruptionConfig:
     sigma_rho: float = 10.0
 
     def __post_init__(self) -> None:
+        for name in ("lam", "sigma_theta", "sigma_rho"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         # each check is written so that a NaN fails it
         if self.mode not in ("outliers", "missing"):
             raise ValueError("mode must be 'outliers' or 'missing'")
@@ -181,17 +193,25 @@ class CorruptionConfig:
         if not (0.0 < self.sigma_theta < math.inf and 0.0 < self.sigma_rho < math.inf):
             raise ValueError("nominal noise sigmas must be finite and > 0")
         law = self.gamma_law
-        if isinstance(law, (tuple, list)):
+        if isinstance(law, np.ndarray) and law.ndim > 1:
+            raise ValueError(
+                "gamma_law must be a value or a (low, high) pair, "
+                f"not an array of shape {law.shape}"
+            )
+        if isinstance(law, (tuple, list)) or np.ndim(law) == 1:
             if len(law) != 2:
                 raise ValueError(
                     f"gamma_law must be a value or a (low, high) pair, not {len(law)} values"
                 )
-            low, high = map(float, law)
+            low, high = (float(_real("gamma_law", value)) for value in law)
             if not 1.0 <= low <= high < math.inf:
                 raise ValueError("gamma interval must satisfy 1 <= low <= high < inf")
-            object.__setattr__(self, "gamma_law", (low, high))
-        elif not 1.0 <= float(law) < math.inf:
-            raise ValueError("fixed gamma must be finite and >= 1")
+            law = (low, high)
+        else:
+            law = float(_real("gamma_law", law))
+            if not 1.0 <= law < math.inf:
+                raise ValueError("fixed gamma must be finite and >= 1")
+        object.__setattr__(self, "gamma_law", law)
 
 
 def nominal_sigmas(cfg: CorruptionConfig, meas_dim: int) -> np.ndarray:

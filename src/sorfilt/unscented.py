@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import FilterNumericsError, GaussianBelief, _count_nonzero, symmetrize
+from .model import FilterNumericsError, GaussianBelief, _count_nonzero, _real, symmetrize
 
 
 @dataclass(frozen=True)
@@ -20,6 +20,8 @@ class UTParams:
     kappa: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "kappa"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         # each check is written so that a NaN fails it
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")

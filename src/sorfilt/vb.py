@@ -29,7 +29,7 @@ from .gaussian import (
     predict_measurement,
     serial_conditioning,
 )
-from .model import GaussianBelief, Measurement, NonlinearSSM, _count_nonzero
+from .model import GaussianBelief, Measurement, NonlinearSSM, _count_nonzero, _real
 from .unscented import UTParams, draw_sigma_points, eval_sigma_points
 
 Variant = Literal["parallel", "serial"]
@@ -55,6 +55,10 @@ class IndicatorConfig:
     max_iters: int = 50
 
     def __post_init__(self) -> None:
+        for name in ("epsilon", "tau"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        for value in np.asarray(self.theta_prior, dtype=object).flat:
+            _real("theta_prior", value)
         # each check is written so that a NaN fails it
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie strictly inside (0, 1)")

@@ -76,6 +76,11 @@ class TestRmsePos:
         with pytest.raises(ValueError, match=r"estimates of shape .* hold no steps"):
             score(np.zeros(shape), np.zeros(shape))
 
+    def test_zero_runs_rejected(self):
+        # a mean over no runs would be NaN, with numpy's empty-slice warning
+        with pytest.raises(ValueError, match=r"estimates of shape \(0, 3, 2\) hold no runs"):
+            rmse_pos(np.zeros((0, 3, 2)), np.zeros((0, 3, 2)))
+
 
 class TestRunRng:
     def test_reproducible(self):
@@ -177,11 +182,41 @@ class TestScenarioConfig:
             ({"num_pairs": True}, "num_pairs must be an integer"),
             ({"seed": True}, "seed must be an integer"),
             ({"gamma_law": [100.0, 1000.0, 5000.0]}, "gamma_law must be"),
+            ({"gamma_law": np.full((2, 2), 100.0)}, "gamma_law must be"),
         ],
     )
     def test_validation(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             ScenarioConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # each part's number fields, through the config that builds the part
+            {"alpha": "x"},
+            {"epsilon": None},
+            {"theta_prior": "0.5"},
+            {"tau": True},
+            {"dt": "1"},
+            {"eta1": True},
+            {"lam": "a"},
+            {"lam": True},
+            {"sigma_rho": None},
+            {"gamma_law": True},
+            {"gamma_law": np.array([100.0, None])},
+            # the config's own
+            {"tag_z": "a"},
+            {"sweep_axis": "lam", "sweep_values": (0.1, True)},
+        ],
+    )
+    def test_value_of_another_type_is_a_type_error_naming_it(self, kwargs):
+        name = list(kwargs)[-1]
+        with pytest.raises(TypeError, match=f"^{name} must be a real number"):
+            ScenarioConfig(**kwargs)
+
+    def test_zero_dimensional_arrays_are_read_as_numbers(self):
+        cfg = ScenarioConfig(epsilon=np.array(1e-6), gamma_law=np.array([100, 1000]))
+        assert cfg == ScenarioConfig() and hash(cfg) == hash(ScenarioConfig())
 
     def test_from_yaml_round_trip(self, tmp_path):
         path = tmp_path / "scenario.yaml"
@@ -619,7 +654,7 @@ class TestCli:
             ("uwb", {"variant": "fast"}, "variant must be"),
             ("bench", {"filters": ["foo"]}, "filters must be"),
             ("simulate", {"steps": None}, "steps must be an integer"),
-            ("uwb", {"epsilon": "abc"}, "not supported"),
+            ("uwb", {"epsilon": "abc"}, "epsilon must be a real"),
             ("simulate", {"scenario": "uwb"}, "unknown config keys ['scenario']"),
             ("simulate", {"epsilon": 0.0}, "epsilon"),
             ("simulate", {"dt": 0.0}, "dt"),
@@ -638,6 +673,9 @@ class TestCli:
             ),
             ("simulate", {"gamma_law": [100, 1000, 5000]}, "gamma_law must be"),
             ("simulate", {"runs": True}, "runs must be an integer"),
+            ("simulate", {"alpha": "x"}, "alpha must be a real"),
+            ("uwb", {"tag_z": "a"}, "tag_z must be a real"),
+            ("bench", {"lam": True}, "lam must be a real"),
         ],
     )
     def test_bad_config_value_exits_two(self, tmp_path, capsys, command, config, match):
@@ -648,6 +686,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert match in err
+        assert not (tmp_path / "out").exists()
+
+    def test_yaml_on_is_no_lam(self, tmp_path, capsys):
+        # YAML 1.1 reads on as True, which is no corruption probability
+        path = tmp_path / "scenario.yaml"
+        path.write_text("lam: on\n")
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: lam must be a real number, not bool\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "bench"])

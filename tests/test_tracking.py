@@ -186,6 +186,14 @@ class TestTurnTransition:
         with pytest.raises(ValueError):
             TurnModelConfig(eta1=-1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"dt": "1"}, {"dt": True}, {"eta1": None}, {"eta2": np.bool_(False)}]
+    )
+    def test_config_value_of_another_type_is_refused(self, kwargs):
+        ((name, _),) = kwargs.items()
+        with pytest.raises(TypeError, match=f"^{name} must be a real number"):
+            TurnModelConfig(**kwargs)
+
 
 class TestProcessNoiseCov:
     def test_reference_values(self):
@@ -346,10 +354,46 @@ class TestCorrupt:
         with pytest.raises(ValueError):
             CorruptionConfig(gamma_law=(200.0, 100.0))
 
-    @pytest.mark.parametrize("law", [(1.0,), (1.0, 2.0, 3.0), [100.0, 1000.0, 5000.0], ()])
+    @pytest.mark.parametrize(
+        "law",
+        [(1.0,), (1.0, 2.0, 3.0), [100.0, 1000.0, 5000.0], (), np.array([1.0, 2.0, 3.0])],
+    )
     def test_gamma_law_of_another_length_is_refused(self, law):
         with pytest.raises(ValueError, match=f"gamma_law must .* not {len(law)} values"):
             CorruptionConfig(gamma_law=law)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"lam": None},
+            {"lam": True},
+            {"lam": "0.3"},
+            {"sigma_theta": True},
+            {"sigma_rho": "10"},
+            {"gamma_law": True},
+            {"gamma_law": "100"},
+            {"gamma_law": (True, 100.0)},
+            {"gamma_law": [100.0, None]},
+            {"gamma_law": np.array([True, False])},
+        ],
+    )
+    def test_config_value_of_another_type_is_refused(self, kwargs):
+        ((name, _),) = kwargs.items()
+        with pytest.raises(TypeError, match=f"^{name} must be a real number"):
+            CorruptionConfig(**kwargs)
+
+    def test_gamma_law_as_an_array(self):
+        # a 1-d array is the (low, high) pair, a 0-d one a fixed value; both
+        # are kept as floats, so the config hashes
+        pair = CorruptionConfig(gamma_law=np.array([100, 1000]))
+        assert pair.gamma_law == (100.0, 1000.0)
+        assert [type(v) for v in pair.gamma_law] == [float, float]
+        assert pair == CorruptionConfig(gamma_law=(100.0, 1000.0))
+        assert hash(pair) == hash(CorruptionConfig(gamma_law=(100.0, 1000.0)))
+        fixed = CorruptionConfig(gamma_law=np.array(250.0))
+        assert fixed.gamma_law == 250.0 and type(fixed.gamma_law) is float
+        with pytest.raises(ValueError, match=r"gamma_law must .* array of shape \(2, 1\)"):
+            CorruptionConfig(gamma_law=np.array([[100.0], [1000.0]]))
 
     def test_sample_gamma_laws(self):
         rng = np.random.default_rng(9)

@@ -52,6 +52,19 @@ class TestUTParams:
         with pytest.raises(ValueError, match="kappa"):
             UTParams(kappa=float("nan"))
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"alpha": "x"}, {"alpha": True}, {"beta": None}, {"kappa": np.bool_(True)}]
+    )
+    def test_rejects_a_value_of_another_type(self, kwargs):
+        ((name, _),) = kwargs.items()
+        with pytest.raises(TypeError, match=f"^{name} must be a real number"):
+            UTParams(**kwargs)
+
+    def test_zero_dimensional_arrays_are_read_as_numbers(self):
+        params = UTParams(alpha=np.array(0.5), kappa=np.array(1))
+        assert params == UTParams(alpha=0.5, kappa=1.0)
+        assert hash(params) == hash(UTParams(alpha=0.5, kappa=1.0))
+
 
 def _fresh_weights(params, n):
     """sqrt(n + lambda) and the weights, computed from scratch."""

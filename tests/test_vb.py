@@ -185,6 +185,23 @@ class TestIndicatorTypes:
         with pytest.raises(ValueError, match="max_iters"):
             IndicatorConfig(max_iters=bad)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"epsilon": None},
+            {"epsilon": True},
+            {"tau": True},
+            {"tau": "1e-4"},
+            {"theta_prior": "0.5"},
+            {"theta_prior": [0.5, None]},
+            {"theta_prior": np.array([True, False])},
+        ],
+    )
+    def test_config_rejects_a_value_of_another_type(self, kwargs):
+        ((name, _),) = kwargs.items()
+        with pytest.raises(TypeError, match=f"^{name} must be a real number"):
+            IndicatorConfig(**kwargs)
+
     def test_config_accepts_numpy_integer_max_iters(self):
         assert IndicatorConfig(max_iters=np.int64(3)).max_iters == 3
 
