@@ -208,7 +208,7 @@ class CorruptionConfig:
                 raise ValueError("gamma interval must satisfy 1 <= low <= high < inf")
             law = (low, high)
         else:
-            law = float(_real("gamma_law", law))
+            law = _real("gamma_law", law)
             if not 1.0 <= law < math.inf:
                 raise ValueError("fixed gamma must be finite and >= 1")
         object.__setattr__(self, "gamma_law", law)
